@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     p_dstart.add_argument(
         "--foreground", action="store_true", help="run in this process"
     )
-    p_dstart.add_argument("--poll-interval-ms", type=int, default=None)
     daemon_sub.add_parser("stop", help="stop the engine")
     allow_trailing_json(daemon_sub.add_parser("status", help="engine status"))
 
@@ -247,9 +246,6 @@ def _dispatch(args: argparse.Namespace, layout: StateDirLayout, client: DaemonCl
 
 def _daemon_start(args: argparse.Namespace, layout: StateDirLayout, client: DaemonClient) -> int:
     mode = SupervisionMode(args.mode) if args.mode else SupervisionMode.DECOUPLED
-    config_fields: dict[str, Any] = {"state_root": layout.root, "mode": mode}
-    if args.poll_interval_ms is not None:
-        config_fields["poll_interval_ms"] = args.poll_interval_ms
 
     if args.foreground:
         import asyncio
@@ -257,7 +253,7 @@ def _daemon_start(args: argparse.Namespace, layout: StateDirLayout, client: Daem
         from .daemon import AlreadyRunning
 
         try:
-            asyncio.run(Daemon(DaemonConfig(**config_fields)).serve())
+            asyncio.run(Daemon(DaemonConfig(state_root=layout.root, mode=mode)).serve())
         except AlreadyRunning as exc:
             print(f"hydra: error: {exc}", file=sys.stderr)
             return 1
@@ -283,8 +279,6 @@ def _daemon_start(args: argparse.Namespace, layout: StateDirLayout, client: Daem
         "start",
         "--foreground",
     ]
-    if args.poll_interval_ms is not None:
-        child_argv += ["--poll-interval-ms", str(args.poll_interval_ms)]
     log_path = layout.root / "daemon.log"
     log_fd = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
     try:
@@ -503,7 +497,6 @@ def _render_status(payload: dict[str, Any]) -> int:
     print(f"state dir:     {payload['state_dir']}")
     print(f"uptime:        {payload['uptime_ms']} ms")
     print(f"last restore:  {payload['restore_ms']} ms")
-    print(f"poll interval: {payload['poll_interval_ms']} ms")
     print(f"containers:    {summary}")
     return 0
 

@@ -13,7 +13,7 @@ from typing import Any, Iterator
 
 from .model import HydraError
 from .protocol import (
-    FRAME_EXIT_NOTICE,
+    MAX_MESSAGE_BYTES,
     FrameDecoder,
     FrameError,
     MessageFormatError,
@@ -37,7 +37,6 @@ __all__ = [
 
 CONNECT_TIMEOUT_S = 5.0
 _READLINE_CHUNK = 65536
-_MAX_LINE = 1 << 20
 
 
 class TransportError(HydraError):
@@ -87,7 +86,7 @@ class _LineChannel:
         self.sock.settimeout(timeout)
         buf = bytearray(self.residue)
         while b"\n" not in buf:
-            if len(buf) > _MAX_LINE:
+            if len(buf) > MAX_MESSAGE_BYTES:
                 raise TransportError(self.sock_path, "reply line too long")
             try:
                 chunk = self.sock.recv(_READLINE_CHUNK)
@@ -211,6 +210,3 @@ def exit_code_from_notice(payload: bytes) -> int:
         return report.exit_code
     return 128 + int(report.term_signal or 0)
 
-
-def is_exit_notice(tag: int) -> bool:
-    return tag == FRAME_EXIT_NOTICE

@@ -12,7 +12,10 @@ body runs on the loop and only sets an event. Container exits are ingested
 from exit files, never from waiting on child processes, which is what keeps
 the thread count flat no matter how many containers run (coupled mode
 deliberately breaks this with one waiter thread per container to emulate
-the classic engines it stands in for).
+the classic engines it stands in for). Each live container also holds one
+pidfd on the loop, for its monitor: a monitor writes its exit file before
+it exits, so the pidfd event is a second doorbell for every exit and the
+first news of a monitor that died without one.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .model import (
 )
 from .monitor import ChildReaper, LaunchHandle, fork_monitor, read_spawn_failure
 from .protocol import (
+    MAX_MESSAGE_BYTES,
     ExitFormatError,
     MessageFormatError,
     RecordFormatError,
@@ -63,7 +67,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "DEFAULT_POLL_INTERVAL_MS",
     "DEFAULT_HANDSHAKE_TIMEOUT_MS",
     "WAITER_CONTEXT_BYTES",
     "DaemonConfig",
@@ -74,7 +77,6 @@ __all__ = [
 
 log = logging.getLogger("hydra.daemon")
 
-DEFAULT_POLL_INTERVAL_MS = 2000
 DEFAULT_HANDSHAKE_TIMEOUT_MS = 5000
 # Per-container ballast held by each coupled-mode waiter thread, standing in
 # for the per-container runtime bookkeeping of the engines that mode emulates.
@@ -87,16 +89,11 @@ _LIVE_KINDS = (StateKind.RUNNING, StateKind.PAUSED, StateKind.STOPPING)
 class DaemonConfig:
     state_root: str
     mode: SupervisionMode = SupervisionMode.DECOUPLED
-    poll_interval_ms: int = DEFAULT_POLL_INTERVAL_MS
     handshake_timeout_ms: int = DEFAULT_HANDSHAKE_TIMEOUT_MS
     signal_plan: SignalPlan = field(default_factory=SignalPlan)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", SupervisionMode(self.mode))
-        if self.poll_interval_ms < 100:
-            raise InvalidSpec(
-                f"poll_interval_ms must be >= 100, got {self.poll_interval_ms}"
-            )
         if self.handshake_timeout_ms <= 0:
             raise InvalidSpec("handshake_timeout_ms must be positive")
 
@@ -131,6 +128,9 @@ class Daemon:
         # container id -> (launch token, future for the Launched handshake)
         self._pending_launch: dict[str, tuple[str, asyncio.Future[dict[str, Any]]]] = {}
         self._coupled_release: dict[str, threading.Event] = {}
+        # container id -> the process whose death runs the record's
+        # supervision check, and a pidfd on it
+        self._watches: dict[str, tuple[ProcessIdentity, int]] = {}
         self._bg_tasks: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._shutdown: asyncio.Event | None = None
@@ -168,7 +168,9 @@ class Daemon:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.layout.daemon_sock)
             server = await asyncio.start_unix_server(
-                self._on_connection, path=str(self.layout.daemon_sock)
+                self._on_connection,
+                path=str(self.layout.daemon_sock),
+                limit=MAX_MESSAGE_BYTES,
             )
             os.chmod(self.layout.daemon_sock, 0o600)
 
@@ -180,7 +182,6 @@ class Daemon:
                 self._arm_grace_timer(record.id, record.spec.stop_grace_ms)
 
             loop_tasks.append(asyncio.create_task(self._ingest_loop()))
-            loop_tasks.append(asyncio.create_task(self._poll_loop()))
             self.serving_since_ms = now_ms()
             log.info(
                 "serving %s mode=%s restore_ms=%.1f records=%d",
@@ -210,6 +211,10 @@ class Daemon:
         loop_tasks: list[asyncio.Task],
     ) -> None:
         """Stop serving; safe against partial startup and cancellation."""
+        # Before the first await: coupled shutdown has just killed every
+        # monitor, and those records must stay on disk as they are.
+        for container_id in list(self._watches):
+            self._unwatch(container_id)
         if server is not None:
             server.close()
             with contextlib.suppress(Exception):
@@ -287,6 +292,12 @@ class Daemon:
                     self._quarantine(record_path, "corrupt")
                     continue
                 self.records[record.id] = record
+        with contextlib.suppress(OSError):
+            for name in os.listdir(self.layout.exits_dir):
+                container_id = name.removesuffix(".exit")
+                if name.endswith(".exit") and container_id not in self.records:
+                    log.warning("exit file for unknown container %s", container_id)
+                    self._quarantine(self.layout.exits_dir / name, "unknown")
 
         reboots: list[ContainerRecord] = []
         rearm_grace: list[ContainerRecord] = []
@@ -309,21 +320,10 @@ class Daemon:
                 record.advance(ContainerState.lost())
                 self._commit(record)
                 continue
-            container_alive = record.container is not None and sandbox.is_alive(
-                record.container
-            )
-            if container_alive:
+            if record.container is not None and sandbox.is_alive(record.container):
                 self._adopt_live(record, rearm_grace)
-            elif record.monitor is not None and sandbox.is_alive(record.monitor):
-                # Container gone but its monitor is mid-exit-sequence; the
-                # exit file will arrive, let ingestion report the truth.
-                continue
-            else:
-                self._finish(
-                    record,
-                    ContainerState.exited(signal=int(signal.SIGKILL)),
-                    unknown=True,
-                )
+            if self._supervise(record):
+                reboots.append(record)
         return reboots, rearm_grace
 
     def _adopt_live(
@@ -387,8 +387,15 @@ class Daemon:
     # -- persistence ------------------------------------------------------------
 
     def _commit(self, record: ContainerRecord) -> None:
+        """Persist record and keep its watch: one iff the record is live, on
+        its monitor unless the last supervision check chose otherwise."""
         self.records[record.id] = record
         dump_record(self.layout, record)
+        watch = self._watches.get(record.id)
+        if record.state.kind not in _LIVE_KINDS:
+            self._unwatch(record.id)
+        elif record.monitor is not None and (watch is None or watch[0] != record.monitor):
+            self._watch(record.id, record.monitor)
 
     def _finish(
         self,
@@ -402,15 +409,12 @@ class Daemon:
         record.advance(state, at_ms=at_ms)
         record.exit_unknown = unknown
         self._commit(record)
-        self._wake_waiters(record)
-        release = self._coupled_release.pop(record.id, None)
-        if release is not None:
-            release.set()
-
-    def _wake_waiters(self, record: ContainerRecord) -> None:
         for future in self._waiters.pop(record.id, []):
             if not future.done():
                 future.set_result(record)
+        release = self._coupled_release.pop(record.id, None)
+        if release is not None:
+            release.set()
 
     def _quarantine(self, path: Path, reason: str) -> None:
         with contextlib.suppress(OSError):
@@ -426,25 +430,17 @@ class Daemon:
             self._exit_wake.clear()
 
     def _ingest_exits(self) -> None:
-        """Scan exits/ and settle every file for a not-yet-Exited record.
+        """Settle every not-yet-Exited record whose exit file is present.
 
         The doorbell signal coalesces under load, so one wake must always
-        process everything present.
+        process everything present. Settled records cost no stat, so a wake
+        scales with the records still to settle, not with the history.
         """
-        try:
-            paths = sorted(self.layout.exits_dir.glob("*.exit"))
-        except OSError:
-            return
-        for path in paths:
-            container_id = path.name[: -len(".exit")]
-            record = self.records.get(container_id)
-            if record is None:
-                log.warning("exit file for unknown container %s", container_id)
-                self._quarantine(path, "unknown")
-                continue
-            if record.state.kind is StateKind.EXITED:
-                continue  # already settled; the file stays until rm
-            self._ingest_one(record, path)
+        for record in list(self.records.values()):
+            if record.state.kind is not StateKind.EXITED:
+                path = self.layout.exit_path(record.id)
+                if path.is_file():
+                    self._ingest_one(record, path)
 
     def _ingest_one(self, record: ContainerRecord, path: Path) -> None:
         try:
@@ -456,76 +452,98 @@ class Daemon:
         except (ExitFormatError, OSError) as exc:
             log.warning("quarantining %s: %s", path, exc)
             self._quarantine(path, "corrupt")
-            with contextlib.suppress(IllegalTransition):
-                record.advance(ContainerState.lost())
-                self._commit(record)
-                self._wake_lost(record)
+            self._lose(record)
             return
         state = report.state()
         try:
-            record.advance(state, at_ms=report.finished_at)
+            self._finish(record, state, at_ms=report.finished_at)
         except IllegalTransition:
             # A code-variant exit for a Paused record proves the group was
             # resumed out of band and ran to completion; take the legal path.
             record.advance(ContainerState.running())
-            record.advance(state, at_ms=report.finished_at)
-        record.exit_unknown = False
-        self._commit(record)
-        self._wake_waiters(record)
-        release = self._coupled_release.pop(record.id, None)
-        if release is not None:
-            release.set()
+            self._finish(record, state, at_ms=report.finished_at)
 
-    # -- orphan polling -----------------------------------------------------------
+    # -- supervision ----------------------------------------------------------------
 
-    async def _poll_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.poll_interval_ms / 1000.0)
-            self._ingest_exits()  # catches any missed doorbell
-            await self._poll_orphans()
+    def _supervise(self, record: ContainerRecord) -> bool:
+        """The one supervision check of a live record; True means reboot it.
 
-    async def _poll_orphans(self) -> None:
-        for record in list(self.records.values()):
-            if record.id in self._pending_launch:
-                continue  # a launch or relaunch is already in flight
-            kind = record.state.kind
-            if kind not in (StateKind.RUNNING, StateKind.STOPPING):
-                continue
-            monitor_alive = record.monitor is not None and sandbox.is_alive(
-                record.monitor
+        Runs for every live record at reconcile and whenever a record's
+        watch fires. It settles the record, watches it again, or leaves it
+        for a later commit; on True the record stays Running with no
+        identities, and the caller relaunches it.
+        """
+        exit_path = self.layout.exit_path(record.id)
+        if exit_path.is_file():
+            self._ingest_one(record, exit_path)
+            if record.state.kind not in _LIVE_KINDS:
+                return False
+            # A corrupt file was quarantined and left the record live.
+        if record.monitor is not None and sandbox.is_alive(record.monitor):
+            self._watch(record.id, record.monitor)
+            return False
+        container = record.container
+        if container is None or not sandbox.is_alive(container):
+            self._finish(
+                record, ContainerState.exited(signal=int(signal.SIGKILL)), unknown=True
             )
-            if monitor_alive:
-                continue
-            if self.layout.exit_path(record.id).is_file():
-                continue  # next ingest settles it
-            container_alive = record.container is not None and sandbox.is_alive(
-                record.container
+            return False
+        if record.state.kind in (StateKind.STOPPING, StateKind.PAUSED):
+            # Stopping: the grace timer owns the group's fate. Paused: the
+            # commit of an unpause checks again. Until then the group's
+            # death settles the record.
+            self._watch(record.id, container)
+            return False
+        sandbox.signal_group(container.pid, signal.SIGKILL)
+        if not record.spec.restart_on_monitor_loss:
+            log.warning("monitor lost for %s; killing (restart disabled)", record.id)
+            self._finish(
+                record, ContainerState.exited(signal=int(signal.SIGKILL)), unknown=True
             )
-            if not container_alive:
-                self._finish(
-                    record,
-                    ContainerState.exited(signal=int(signal.SIGKILL)),
-                    unknown=True,
-                )
-                continue
-            if kind is StateKind.STOPPING:
-                continue  # the grace timer owns this group's fate
-            assert record.container is not None
-            if not record.spec.restart_on_monitor_loss:
-                log.warning("monitor lost for %s; killing (restart disabled)", record.id)
-                sandbox.signal_group(record.container.pid, signal.SIGKILL)
-                self._finish(
-                    record,
-                    ContainerState.exited(signal=int(signal.SIGKILL)),
-                    unknown=True,
-                )
-                continue
-            log.warning("monitor lost for %s; rebooting container", record.id)
-            sandbox.signal_group(record.container.pid, signal.SIGKILL)
-            record.restart_count += 1
-            record.monitor = None
-            record.container = None
+            return False
+        log.warning("monitor lost for %s; rebooting container", record.id)
+        record.restart_count += 1
+        record.monitor = None
+        record.container = None
+        return True
+
+    def _watch(self, container_id: str, identity: ProcessIdentity) -> None:
+        """Make the record's one watch wait on identity's process: its death
+        runs the supervision check (at once if it is already gone)."""
+        self._unwatch(container_id)
+        with contextlib.suppress(ProcessLookupError):
+            fd = os.pidfd_open(identity.pid)
+            # Checked after the open, so a reused pid cannot slip in.
+            if sandbox.is_alive(identity):
+                self._watches[container_id] = (identity, fd)
+                asyncio.get_running_loop().add_reader(fd, self._fire, container_id)
+                return
+            os.close(fd)
+        self._fire(container_id)
+
+    def _unwatch(self, container_id: str) -> None:
+        watch = self._watches.pop(container_id, None)
+        if watch is not None:
+            asyncio.get_running_loop().remove_reader(watch[1])
+            os.close(watch[1])
+
+    def _fire(self, container_id: str) -> None:
+        # A pidfd stays readable once its process is dead: drop it first.
+        self._unwatch(container_id)
+        self._spawn(self._check(container_id))
+
+    async def _check(self, container_id: str) -> None:
+        record = self.records.get(container_id)
+        # A live record without a monitor has a relaunch queued or in flight.
+        if record is None or record.state.kind not in _LIVE_KINDS or record.monitor is None:
+            return
+        if self._supervise(record):
             await self._relaunch(record)
+
+    def _spawn(self, coro: Any) -> None:
+        task = asyncio.create_task(coro)
+        self._bg_tasks.add(task)
+        task.add_done_callback(self._bg_tasks.discard)
 
     async def _relaunch(self, record: ContainerRecord) -> None:
         """Launch a fresh supervision tree for a record that stays Running.
@@ -535,13 +553,16 @@ class Daemon:
         outcome = await self._launch(record)
         if outcome is not None:
             log.warning("relaunch of %s failed: %s", record.id, outcome.detail)
-            try:
-                record.advance(ContainerState.lost())
-            except IllegalTransition:
-                pass
-            else:
-                self._commit(record)
-            self._wake_lost(record)
+            self._lose(record)
+
+    def _lose(self, record: ContainerRecord) -> None:
+        """Mark record Lost where the state machine allows it."""
+        try:
+            record.advance(ContainerState.lost())
+        except IllegalTransition:
+            return
+        self._commit(record)
+        self._wake_lost(record)
 
     def _wake_lost(self, record: ContainerRecord) -> None:
         """A Lost record may never exit; fail its waiters honestly."""
@@ -649,7 +670,7 @@ class Daemon:
         try:
             try:
                 request = decode_message(await reader.readline())
-            except MessageFormatError as exc:
+            except (MessageFormatError, ValueError) as exc:  # ValueError: over the limit
                 await self._reply(writer, {"ok": False, "error": "bad_message", "detail": str(exc)})
                 return
             op = str(request.get("op", ""))
@@ -732,18 +753,19 @@ class Daemon:
             created_at=now_ms(),
         )
         self._commit(record)
+        return await self._launch_or_settle(record)
+
+    async def _launch_or_settle(self, record: ContainerRecord) -> dict[str, Any]:
+        """Launch a Created record and build the run reply; on failure the
+        record settles (a spawn failure as its exit, anything else Lost)
+        and the failure is raised."""
         failure = await self._launch(record)
         if failure is not None:
             if failure.code == "spawn_error":
                 self._finish(record, ContainerState.exited(code=failure.exit_code or 126))
             else:
-                record.advance(ContainerState.lost())
-                self._commit(record)
-                self._wake_lost(record)
+                self._lose(record)
             raise failure
-        return self._run_response(record)
-
-    def _run_response(self, record: ContainerRecord) -> dict[str, Any]:
         assert record.container is not None and record.monitor is not None
         return {
             "ok": True,
@@ -761,20 +783,11 @@ class Daemon:
             )
         record.reset_for_relaunch()
         self._commit(record)
-        failure = await self._launch(record)
-        if failure is not None:
-            if failure.code == "spawn_error":
-                self._finish(record, ContainerState.exited(code=failure.exit_code or 126))
-            else:
-                record.advance(ContainerState.lost())
-                self._commit(record)
-                self._wake_lost(record)
-            raise failure
-        return self._run_response(record)
+        return await self._launch_or_settle(record)
 
     async def _op_restart(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._settled(request)
-        grace_ms = int(request.get("grace_ms") or record.spec.stop_grace_ms)
+        grace_ms = self._grace_ms(request, record)
         if record.state.kind is StateKind.PAUSED:
             # a fully stopped group ignores SIGTERM; resume it first
             self._signal_record(record, self.config.signal_plan.unpause)
@@ -796,9 +809,13 @@ class Daemon:
             return {"ok": True, "id": record.id, "already": "stopping"}
         if kind is not StateKind.RUNNING:
             raise ApiError("invalid_state", f"{record.id} is {kind.value}")
-        grace_ms = int(request.get("grace_ms") or record.spec.stop_grace_ms)
-        self._begin_stop(record, grace_ms)
+        self._begin_stop(record, self._grace_ms(request, record))
         return {"ok": True, "id": record.id}
+
+    @staticmethod
+    def _grace_ms(request: dict[str, Any], record: ContainerRecord) -> int:
+        grace_ms = request.get("grace_ms")  # 0 is a valid grace: kill at once
+        return record.spec.stop_grace_ms if grace_ms is None else int(grace_ms)
 
     def _begin_stop(self, record: ContainerRecord, grace_ms: int) -> None:
         record.advance(ContainerState.stopping())
@@ -816,9 +833,7 @@ class Daemon:
                         record.container.pid, self.config.signal_plan.kill
                     )
 
-        task = asyncio.create_task(enforce())
-        self._bg_tasks.add(task)
-        task.add_done_callback(self._bg_tasks.discard)
+        self._spawn(enforce())
 
     async def _op_kill(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._settled(request)
@@ -912,7 +927,6 @@ class Daemon:
             "uptime_ms": (
                 now_ms() - self.serving_since_ms if self.serving_since_ms else 0
             ),
-            "poll_interval_ms": self.config.poll_interval_ms,
             "containers": counts,
         }
 

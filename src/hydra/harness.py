@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import sandbox
 from .client import DaemonClient, RequestFailed, TransportError
 from .model import SupervisionMode
 from .protocol import StateDirLayout, resolve_layout
@@ -150,13 +151,11 @@ class Engine:
         mode: str,
         *,
         state_root: str | Path | None = None,
-        poll_interval_ms: int = 2000,
     ):
         # Keep the root short: the daemon socket path must fit in sun_path.
         root = state_root or tempfile.mkdtemp(prefix="hyb", dir="/tmp")
         self.layout: StateDirLayout = resolve_layout(root)
         self.mode = mode
-        self.poll_interval_ms = poll_interval_ms
         self.client = DaemonClient(self.layout)
         self.proc: subprocess.Popen[bytes] | None = None
         self._log_fh = open(self.layout.root / "engine.log", "ab")
@@ -176,8 +175,6 @@ class Engine:
                 "daemon",
                 "start",
                 "--foreground",
-                "--poll-interval-ms",
-                str(self.poll_interval_ms),
             ],
             stdin=subprocess.DEVNULL,
             stdout=self._log_fh,
@@ -231,25 +228,6 @@ class Engine:
         if container_id is not None:
             fields["id"] = container_id
         return self.client.request("run", timeout=30.0, **fields)
-
-    def rss_bytes(self) -> int:
-        return self._proc_status_kb("VmRSS") * 1024
-
-    def thread_count(self) -> int:
-        assert self.proc is not None
-        with open(f"/proc/{self.proc.pid}/status") as fh:
-            for line in fh:
-                if line.startswith("Threads:"):
-                    return int(line.split()[1])
-        raise RuntimeError("no Threads line")
-
-    def _proc_status_kb(self, key: str) -> int:
-        assert self.proc is not None
-        with open(f"/proc/{self.proc.pid}/status") as fh:
-            for line in fh:
-                if line.startswith(f"{key}:"):
-                    return int(line.split()[1])
-        raise RuntimeError(f"no {key} line")
 
     def cleanup(self) -> None:
         """Kill every supervised process, stop the engine, drop the state dir."""
@@ -542,8 +520,9 @@ def exp_scalability(
                 latency_ms = (time.monotonic() - t0) * 1000.0
                 if n == 1 or n % step == 0 or n == max_n:
                     report.add(mode, n, "launch_ms", latency_ms, "ms")
-                    report.add(mode, n, "engine_rss_bytes", engine.rss_bytes(), "bytes")
-                    report.add(mode, n, "engine_threads", engine.thread_count(), "threads")
+                    pid = engine.proc.pid
+                    report.add(mode, n, "engine_rss_bytes", sandbox.rss_bytes(pid), "bytes")
+                    report.add(mode, n, "engine_threads", sandbox.thread_count(pid), "threads")
         finally:
             engine.cleanup()
     report.write_csv(out_dir)

@@ -37,6 +37,7 @@ from .protocol import (
     FRAME_STDERR,
     FRAME_STDIN,
     FRAME_STDOUT,
+    MAX_MESSAGE_BYTES,
     FrameDecoder,
     FrameError,
     MessageFormatError,
@@ -432,7 +433,9 @@ class Monitor:
         sock_path = self.layout.monitor_sock(boot.container_id)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(sock_path)
-        server = await asyncio.start_unix_server(self._on_connection, path=str(sock_path))
+        server = await asyncio.start_unix_server(
+            self._on_connection, path=str(sock_path), limit=MAX_MESSAGE_BYTES
+        )
         os.chmod(sock_path, 0o600)
 
         self.stdin_writer = await _open_pipe_writer(loop, boot.stdin_fd)
@@ -459,7 +462,7 @@ class Monitor:
 
         code = 0
         if not self._write_exit_file(report):
-            code = 1  # leave no false doorbell; the daemon's poller takes over
+            code = 1  # leave no false doorbell; the daemon's pidfd watch takes over
         else:
             self._ring_daemon()
         self._finish_waiters(report)
@@ -604,7 +607,7 @@ class Monitor:
         try:
             try:
                 request = decode_message(await reader.readline())
-            except MessageFormatError as exc:
+            except (MessageFormatError, ValueError) as exc:  # ValueError: over the limit
                 await self._reply(writer, {"ok": False, "error": f"bad_message: {exc}"})
                 return
             op = request.get("op")

@@ -85,7 +85,7 @@ def make_engine() -> Iterator[Callable[..., Engine]]:
 
 @pytest.fixture
 def engine(make_engine) -> Engine:
-    return make_engine("decoupled", poll_interval_ms=500)
+    return make_engine("decoupled")
 
 
 def run_cli(

@@ -73,7 +73,7 @@ def test_criterion_01_survival_under_daemon_crash(capsys, make_engine):
     ):
         t0 = time.monotonic()
         for mode, expect in (("decoupled", 10), ("lazy", 10), ("coupled", 0)):
-            engine = make_engine(mode, poll_interval_ms=500)
+            engine = make_engine(mode)
             for _ in range(10):
                 engine.run(["sleep", "600"])
             before = identity_map(engine)
@@ -95,7 +95,7 @@ def test_criterion_02_exit_status_across_downtime(capsys, make_engine):
         capsys, 2, "an exit that happens while the daemon is down is reported after restart", notes
     ):
         t0 = time.monotonic()
-        engine = make_engine("decoupled", poll_interval_ms=500)
+        engine = make_engine("decoupled")
         reply = engine.run(["sh", "-c", "sleep 0.8; exit 7"])
         engine.kill()
         assert wait_for(lambda: not pid_alive(reply["pid"]), timeout_s=10.0)
@@ -134,7 +134,7 @@ def test_criterion_04_daemon_restore_speed(capsys, make_engine):
     with criterion(
         capsys, 4, "reconciling 10 running containers takes under 500 ms", notes
     ):
-        engine = make_engine("decoupled", poll_interval_ms=500)
+        engine = make_engine("decoupled")
         for _ in range(10):
             engine.run(["sleep", "600"])
         engine.kill()
@@ -184,9 +184,9 @@ def test_criterion_06_no_per_container_daemon_bloat(capsys, tmp_path):
 def test_criterion_07_monitor_crash_recovery(capsys, make_engine):
     notes: list[str] = []
     with criterion(
-        capsys, 7, "a SIGKILLed monitor leads to a container reboot within 2 poll intervals", notes
+        capsys, 7, "a SIGKILLed monitor leads to a container reboot within 4 s", notes
     ):
-        engine = make_engine("decoupled")  # default 2000 ms poll
+        engine = make_engine("decoupled")
         reply = engine.run(["sleep", "600"])
 
         def rebooted() -> bool:
@@ -194,7 +194,7 @@ def test_criterion_07_monitor_crash_recovery(capsys, make_engine):
             return (
                 row["state"] == "running"
                 and row["restart_count"] == 1
-                and row["pid"] != reply["pid"]
+                and row["pid"] not in (None, reply["pid"])  # relaunch landed
             )
 
         t0 = time.monotonic()
@@ -211,7 +211,7 @@ def test_criterion_08_signal_coalescing(capsys, make_engine):
         capsys, 8, "50 simultaneous exits all land with their own exit codes", notes
     ):
         t0 = time.monotonic()
-        engine = make_engine("decoupled", poll_interval_ms=500)
+        engine = make_engine("decoupled")
         gate = engine.layout.root / "go"
         assigned: dict[str, int] = {}
         for i in range(50):
@@ -294,7 +294,7 @@ def test_criterion_10_lifecycle_semantics(capsys, make_engine):
     with criterion(
         capsys, 10, "pause freezes the whole group, unpause resumes, stop escalates on time", notes
     ):
-        engine = make_engine("decoupled", poll_interval_ms=500)
+        engine = make_engine("decoupled")
         reply = engine.run(["sh", "-c", "sleep 300 & sleep 300 & wait"])
         assert wait_for(lambda: len(group_pids(reply["pid"])) >= 3)
         members = group_pids(reply["pid"])

@@ -20,7 +20,7 @@ from .conftest import kill_group_silently, kill_silently, run_cli, wait_for
 def shared_dir():
     """One CLI-started daemon for the whole module; containers are cheap."""
     root = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
-    started = run_cli("daemon", "start", "--poll-interval-ms", "500", state_dir=root)
+    started = run_cli("daemon", "start", state_dir=root)
     assert started.returncode == 0, started.stderr
     yield root
     rows = []

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
 import time
 
 import pytest
 
 from hydra.client import RequestFailed
+from hydra.model import ExitReport, now_ms
+from hydra.protocol import MAX_MESSAGE_BYTES, write_exit_report
 
-from .conftest import pid_alive, proc_state, wait_for
+from .conftest import kill_group_silently, pid_alive, proc_state, wait_for
 
 
 def one_row(engine, container_id: str) -> dict:
@@ -29,6 +33,17 @@ def run_traced(engine, script: str, **spec_extra) -> dict:
     log = engine.layout.log_path(reply["id"])
     assert wait_for(lambda: log.exists() and b"ready\n" in log.read_bytes())
     return reply
+
+
+def wait_rebooted(engine, reply: dict) -> dict:
+    """The container's row once its relaunch after a monitor loss landed."""
+
+    def landed() -> bool:
+        row = one_row(engine, reply["id"])
+        return row["restart_count"] == 1 and row["pid"] not in (None, reply["pid"])
+
+    assert wait_for(landed, timeout_s=15.0)
+    return one_row(engine, reply["id"])
 
 
 # -- op surface -----------------------------------------------------------------
@@ -130,6 +145,15 @@ def test_stop_escalates_after_grace(engine):
     assert time.monotonic() - t0 >= 0.25
 
 
+def test_stop_grace_zero_kills_at_once(engine):
+    reply = run_traced(engine, 'trap "" TERM; while true; do sleep 0.2; done')
+    t0 = time.monotonic()
+    engine.client.request("stop", id=reply["id"], grace_ms=0)
+    done = engine.client.request("wait", id=reply["id"], timeout=15.0)
+    assert done["term_signal"] == 9
+    assert time.monotonic() - t0 < 2.0  # not the 10 s spec default
+
+
 def test_signal_delivers_to_group(engine):
     reply = run_traced(engine, 'trap "exit 42" USR1; while true; do sleep 0.2; done')
     delivered = engine.client.request(
@@ -178,6 +202,35 @@ def test_start_relaunches_exited_container(engine):
     assert started["pid"] != reply["pid"]
     done = engine.client.request("wait", id=reply["id"])
     assert done["exit_code"] == 3
+
+
+def test_run_accepts_request_over_stream_default(engine):
+    big = "x" * 70_000  # above asyncio's 64 KiB default line limit
+    reply = engine.client.request(
+        "run",
+        timeout=30.0,
+        spec={"command": ["sh", "-c", 'test "${#BIG}" = 70000'], "env": [f"BIG={big}"]},
+    )
+    done = engine.client.request("wait", id=reply["id"])
+    assert done["exit_code"] == 0
+
+
+def test_oversized_request_line_is_bad_message(engine):
+    line = b'{"op":"status","pad":"' + b"x" * MAX_MESSAGE_BYTES + b'"}\n'
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10.0)
+        sock.connect(str(engine.layout.daemon_sock))
+        try:
+            sock.sendall(line)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the daemon may answer and close before taking it all
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = sock.recv(65536)
+            assert chunk, "daemon closed without a reply"
+            reply += chunk
+    assert json.loads(reply)["error"] == "bad_message"
+    assert engine.status()["ok"]  # and it keeps serving
 
 
 def test_status_counts_containers(engine):
@@ -229,7 +282,7 @@ def test_decoupled_container_survives_daemon_crash(engine):
 
 
 def test_lazy_container_survives_daemon_crash(make_engine):
-    engine = make_engine("lazy", poll_interval_ms=500)
+    engine = make_engine("lazy")
     reply = engine.run(["sleep", "600"])
     before = one_row(engine, reply["id"])
     engine.kill()
@@ -244,7 +297,7 @@ def test_lazy_container_survives_daemon_crash(make_engine):
 
 
 def test_coupled_crash_reboots_container(make_engine):
-    engine = make_engine("coupled", poll_interval_ms=500)
+    engine = make_engine("coupled")
     reply = engine.run(["sleep", "600"])
     before = one_row(engine, reply["id"])
     engine.kill()
@@ -268,6 +321,20 @@ def test_exit_status_survives_daemon_downtime(engine):
     done = engine.client.request("wait", id=reply["id"])
     assert done["exit_code"] == 7
     assert not done["exit_unknown"]
+
+
+def test_unknown_exit_file_quarantined_at_start(engine):
+    engine.kill()
+    stray = write_exit_report(
+        engine.layout,
+        ExitReport(
+            container_id="feedfacefeedface", exit_code=0, term_signal=None,
+            finished_at=now_ms(),
+        ),
+    )
+    engine.start()
+    assert not stray.exists()
+    assert stray.with_name(stray.name + ".unknown").exists()
 
 
 def test_pause_state_survives_daemon_crash(engine):
@@ -304,12 +371,7 @@ def test_vanished_container_marked_exit_unknown(engine):
 def test_monitor_loss_reboots_container(engine):
     reply = engine.run(["sleep", "600"])
     os.kill(reply["monitor_pid"], signal.SIGKILL)
-    assert wait_for(
-        lambda: one_row(engine, reply["id"])["restart_count"] == 1, timeout_s=15.0
-    )
-    row = one_row(engine, reply["id"])
-    assert row["state"] == "running"
-    assert row["pid"] != reply["pid"]
+    assert wait_rebooted(engine, reply)["state"] == "running"
     assert not pid_alive(reply["pid"])  # the orphaned group was put down
 
 
@@ -351,3 +413,85 @@ def test_second_daemon_refused(engine):
     )
     assert probe.returncode == 1
     assert b"another daemon holds" in probe.stderr
+
+
+def test_monitor_loss_while_stopping_waits_for_grace(engine):
+    reply = run_traced(
+        engine, 'trap "" TERM; while true; do sleep 0.2; done', stop_grace_ms=1000
+    )
+    t0 = time.monotonic()
+    engine.client.request("stop", id=reply["id"])
+    os.kill(reply["monitor_pid"], signal.SIGKILL)
+    done = engine.client.request("wait", id=reply["id"], timeout=15.0)
+    assert time.monotonic() - t0 >= 0.9  # the grace timer, not the monitor loss
+    assert done["term_signal"] == 9 and done["exit_unknown"] is True
+    assert done["restart_count"] == 0
+    assert not pid_alive(reply["pid"])
+
+
+def test_monitor_loss_while_paused_reboots_after_unpause(engine):
+    # Orphaning a stopped group sends it SIGHUP; this one survives that.
+    reply = engine.client.request(
+        "run",
+        timeout=30.0,
+        spec={"command": ["sh", "-c", 'trap "" HUP; echo ready; exec sleep 600']},
+    )
+    log = engine.layout.log_path(reply["id"])
+    assert wait_for(lambda: log.exists() and b"ready\n" in log.read_bytes())
+    engine.client.request("pause", id=reply["id"])
+    os.kill(reply["monitor_pid"], signal.SIGKILL)
+    assert wait_for(lambda: not pid_alive(reply["monitor_pid"]))
+    time.sleep(0.5)
+    row = one_row(engine, reply["id"])
+    assert row["state"] == "paused" and row["restart_count"] == 0
+
+    engine.client.request("unpause", id=reply["id"])
+    assert wait_rebooted(engine, reply)["state"] == "running"
+    assert wait_for(lambda: not pid_alive(reply["pid"]))
+
+
+def test_monitor_loss_killing_paused_group_settles(engine):
+    reply = engine.run(["sleep", "600"])
+    engine.client.request("pause", id=reply["id"])
+    os.kill(reply["monitor_pid"], signal.SIGKILL)  # orphaned and stopped: SIGHUP
+    assert wait_for(lambda: one_row(engine, reply["id"])["state"] == "exited")
+    row = one_row(engine, reply["id"])
+    assert row["exit_unknown"] is True and row["restart_count"] == 0
+
+
+def test_exit_file_settles_on_monitor_death_without_doorbell(engine):
+    reply = engine.run(["sleep", "600"])
+    # A monitor that dies between its exit-file write and its doorbell.
+    os.kill(reply["monitor_pid"], signal.SIGSTOP)
+    kill_group_silently(reply["pid"])
+    write_exit_report(
+        engine.layout,
+        ExitReport(
+            container_id=reply["id"], exit_code=42, term_signal=None, finished_at=now_ms()
+        ),
+    )
+    os.kill(reply["monitor_pid"], signal.SIGKILL)
+    done = engine.client.request("wait", id=reply["id"], timeout=15.0)
+    assert done["exit_code"] == 42 and done["exit_unknown"] is False
+    assert done["restart_count"] == 0
+
+
+def test_daemon_fds_return_to_baseline(engine):
+    def open_fds() -> int:
+        return len(os.listdir(f"/proc/{engine.proc.pid}/fd"))
+
+    baseline = open_fds()
+    for _ in range(10):
+        reply = engine.run(["sleep", "60"])
+        assert wait_for(lambda: open_fds() == baseline + 1)  # one pidfd per live container
+        engine.client.request("stop", id=reply["id"])
+        engine.client.request("wait", id=reply["id"], timeout=15.0)
+        engine.client.request("rm", id=reply["id"])
+
+    reply = engine.run(["sleep", "600"])
+    os.kill(reply["monitor_pid"], signal.SIGKILL)
+    wait_rebooted(engine, reply)
+    engine.client.request("kill", id=reply["id"])
+    engine.client.request("wait", id=reply["id"], timeout=15.0)
+    engine.client.request("rm", id=reply["id"])
+    assert wait_for(lambda: open_fds() == baseline), (open_fds(), baseline)
