@@ -1,25 +1,12 @@
-"""Entry point for `python3 -m hydra`.
+"""Entry point for `python3 -m hydra`: the command line.
 
-The monitor re-execs this same module with a hidden subcommand; that path is
-dispatched before the CLI machinery is even imported so monitor startup stays
-lean.
+Monitors are not started through here: the daemon forks them and each runs
+`hydra.monitor.Monitor` in the forked process, with no exec.
 """
 
 import sys
 
-
-def _dispatch() -> int:
-    if len(sys.argv) > 1:
-        from .monitor import MONITOR_SUBCOMMAND
-
-        if sys.argv[1] == MONITOR_SUBCOMMAND:
-            from .monitor import monitor_entry
-
-            return monitor_entry()
-    from .cli import main
-
-    return main()
-
+from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(_dispatch())
+    sys.exit(main())

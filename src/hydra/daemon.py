@@ -48,7 +48,13 @@ from .model import (
     new_container_id,
     now_ms,
 )
-from .monitor import ChildReaper, LaunchHandle, fork_monitor, read_spawn_failure
+from .monitor import (
+    ChildReaper,
+    LaunchHandle,
+    drain_until_eof,
+    fork_monitor,
+    read_spawn_failure,
+)
 from .protocol import (
     MAX_MESSAGE_BYTES,
     ExitFormatError,
@@ -127,6 +133,8 @@ class Daemon:
         self._waiters: dict[str, list[asyncio.Future[ContainerRecord]]] = {}
         # container id -> (launch token, future for the Launched handshake)
         self._pending_launch: dict[str, tuple[str, asyncio.Future[dict[str, Any]]]] = {}
+        self._no_launch_pending = asyncio.Event()
+        self._no_launch_pending.set()
         self._coupled_release: dict[str, threading.Event] = {}
         # container id -> the process whose death runs the record's
         # supervision check, and a pidfd on it
@@ -196,6 +204,7 @@ class Daemon:
             await self._shutdown.wait()
 
             log.info("shutting down")
+            await self._land_launches()
             if self.config.mode is SupervisionMode.COUPLED:
                 self._abort_all_containers()
         finally:
@@ -203,6 +212,21 @@ class Daemon:
                 await self._teardown(loop, server, loop_tasks)
             finally:
                 self._release_lock()
+
+    async def _land_launches(self) -> None:
+        """Let launches in flight finish, bounded by the handshake timeout.
+
+        A launch cancelled mid-handshake would leave its container running
+        under a record that never learned its identities, where no command
+        reaches it; landed, the record commits them and the next daemon
+        adopts the container. The server keeps serving meanwhile, since the
+        handshakes arrive over it.
+        """
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                self._no_launch_pending.wait(),
+                timeout=self.config.handshake_timeout_ms / 1000.0,
+            )
 
     async def _teardown(
         self,
@@ -586,6 +610,7 @@ class Daemon:
         token = secrets.token_hex(8)
         launched: asyncio.Future[dict[str, Any]] = loop.create_future()
         self._pending_launch[record.id] = (token, launched)
+        self._no_launch_pending.clear()
         handle: LaunchHandle | None = None
         try:
             handle = fork_monitor(
@@ -593,7 +618,6 @@ class Daemon:
                 self.layout,
                 self.config.mode,
                 record.spec,
-                self.identity,
                 self.config.signal_plan,
                 launch_token=token,
             )
@@ -630,6 +654,8 @@ class Daemon:
             )
         finally:
             self._pending_launch.pop(record.id, None)
+            if not self._pending_launch:
+                self._no_launch_pending.set()
             if handle is not None:
                 self.reaper.unwatch(handle.child_pid)
                 handle.close()
@@ -679,7 +705,10 @@ class Daemon:
                 await self._reply(writer, {"ok": False, "error": "unknown_op", "detail": op})
                 return
             try:
-                response = await handler(request)
+                # wait parks until an exit; its client hanging up ends it too
+                response = await (
+                    handler(request, reader) if op == "wait" else handler(request)
+                )
             except ApiError as exc:
                 response = {"ok": False, "error": exc.code, "detail": exc.detail}
             except (InvalidSpec, IllegalTransition) as exc:
@@ -930,14 +959,19 @@ class Daemon:
             "containers": counts,
         }
 
-    async def _op_wait(self, request: dict[str, Any]) -> dict[str, Any]:
+    async def _op_wait(
+        self, request: dict[str, Any], reader: asyncio.StreamReader
+    ) -> dict[str, Any]:
         record = self._get(request)
         if record.state.kind is not StateKind.EXITED:
-            future: asyncio.Future[ContainerRecord] = (
-                asyncio.get_running_loop().create_future()
-            )
-            self._waiters.setdefault(record.id, []).append(future)
-            record = await future
+            hangup = asyncio.create_task(drain_until_eof(reader))
+            try:
+                exited = await self._exited(record, until=hangup)
+            finally:
+                hangup.cancel()
+            if exited is None:
+                raise ConnectionError("client hung up")
+            record = exited
         return {
             "ok": True,
             "id": record.id,
@@ -1080,13 +1114,34 @@ class Daemon:
     async def _await_exit(self, record: ContainerRecord, *, timeout_s: float) -> None:
         if record.state.kind is StateKind.EXITED:
             return
+        if await self._exited(record, timeout_s=timeout_s) is None:
+            raise ApiError(
+                "stop_timeout", f"{record.id} did not exit within {timeout_s:.1f}s"
+            )
+
+    async def _exited(
+        self,
+        record: ContainerRecord,
+        *,
+        timeout_s: float | None = None,
+        until: asyncio.Future[Any] | None = None,
+    ) -> ContainerRecord | None:
+        """The record once it has exited; None if the timeout or `until`
+        came first. Its waiter future leaves _waiters with it either way."""
         future: asyncio.Future[ContainerRecord] = (
             asyncio.get_running_loop().create_future()
         )
-        self._waiters.setdefault(record.id, []).append(future)
+        waiters = self._waiters.setdefault(record.id, [])
+        waiters.append(future)
         try:
-            await asyncio.wait_for(future, timeout=timeout_s)
-        except asyncio.TimeoutError:
-            raise ApiError(
-                "stop_timeout", f"{record.id} did not exit within {timeout_s:.1f}s"
-            ) from None
+            done, _ = await asyncio.wait(
+                {future} if until is None else {future, until},
+                timeout=timeout_s,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            return future.result() if future in done else None
+        finally:
+            if future in waiters:
+                waiters.remove(future)
+            if not waiters and self._waiters.get(record.id) is waiters:
+                del self._waiters[record.id]

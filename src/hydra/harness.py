@@ -38,7 +38,7 @@ from pathlib import Path
 from . import sandbox
 from .client import DaemonClient, RequestFailed, TransportError
 from .model import SupervisionMode
-from .protocol import StateDirLayout, resolve_layout
+from .protocol import RecordFormatError, StateDirLayout, load_record, resolve_layout
 
 __all__ = [
     "TrialRow",
@@ -230,19 +230,22 @@ class Engine:
         return self.client.request("run", timeout=30.0, **fields)
 
     def cleanup(self) -> None:
-        """Kill every supervised process, stop the engine, drop the state dir."""
-        rows: list[dict] = []
-        with contextlib.suppress(Exception):
-            rows = self.ps()
+        """Stop the engine, kill every process its records name, drop the state dir.
+
+        The records are read from disk after the stop: a graceful stop lets
+        launches in flight land first, so their processes are named too.
+        """
         if self.proc is not None:
             self.stop()
-        for row in rows:
-            for pid in (row.get("pid"), row.get("monitor_pid")):
-                if pid:
-                    with contextlib.suppress(OSError):
-                        os.killpg(int(pid), signal.SIGKILL)
-                    with contextlib.suppress(OSError):
-                        os.kill(int(pid), signal.SIGKILL)
+        for entry in self.layout.containers_dir.glob("*/record.json"):
+            with contextlib.suppress(RecordFormatError, OSError):
+                record = load_record(entry)
+                for identity in (record.container, record.monitor):
+                    if identity is not None and sandbox.is_alive(identity):
+                        with contextlib.suppress(OSError):
+                            os.killpg(identity.pid, signal.SIGKILL)
+                        with contextlib.suppress(OSError):
+                            os.kill(identity.pid, signal.SIGKILL)
         self._log_fh.close()
         shutil.rmtree(self.layout.root, ignore_errors=True)
 

@@ -7,9 +7,14 @@ logs), and on container exit durably writes the exit file before ringing the
 daemon's doorbell signal. It is stateless beyond its boot arguments, so no
 daemon crash, restart, or upgrade changes its behavior.
 
-This module also contains the daemon-side fork choreography that turns a
-launch request into a running monitor (single fork for lazy/coupled modes,
-double fork + parent-kill for decoupled mode).
+This module also holds the daemon-side fork choreography that turns a launch
+request into a running monitor (single fork for lazy/coupled modes, double
+fork + parent-kill for decoupled mode). The monitor is the forked child
+itself: no exec, no second interpreter. It closes every descriptor it
+inherited from the daemon, keeps the daemon's already-imported code and
+heap copy-on-write, and runs `Monitor` on a fresh event loop. So a monitor
+runs the code of the daemon that launched it; an upgrade, which restarts
+the daemon, launches later monitors from the new code.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from __future__ import annotations
 import asyncio
 import collections
 import contextlib
-import json
+import gc
 import os
 import signal
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,20 +60,20 @@ from .protocol import (
 )
 
 __all__ = [
-    "BOOT_ENV",
-    "MONITOR_SUBCOMMAND",
     "MAX_MONITOR_CONNECTIONS",
+    "MONITOR_COMM_PREFIX",
     "MonitorBootArgs",
     "LaunchHandle",
     "fork_monitor",
     "read_spawn_failure",
-    "monitor_entry",
+    "drain_until_eof",
     "ChildReaper",
 ]
 
-BOOT_ENV = "HYDRA_MONITOR_BOOT"
-MONITOR_SUBCOMMAND = "__monitor__"
 MAX_MONITOR_CONNECTIONS = 16
+# A monitor's comm (what ps and top show) is this plus the container id,
+# cut by the kernel to 15 bytes: "hydra-" and the first 9 hex digits.
+MONITOR_COMM_PREFIX = "hydra-"
 _PUMP_CHUNK = 65536
 _HANDSHAKE_ATTEMPTS = 30
 _HANDSHAKE_RETRY_DELAY = 0.1
@@ -77,17 +83,15 @@ _SHUTDOWN_GRACE_S = 2.0
 
 @dataclass(frozen=True, slots=True)
 class MonitorBootArgs:
-    """Everything a monitor needs, delivered through its environment at exec.
+    """Everything a monitor needs, handed over in memory across the fork.
 
-    The monitor never reads daemon memory; these values plus the state
-    directory are its whole world.
+    The monitor uses nothing else of the daemon's memory; these values plus
+    the state directory are its whole world.
     """
 
     container_id: str
     state_root: str
-    mode: SupervisionMode
     spec: ContainerSpec
-    daemon_identity: ProcessIdentity
     signal_plan: SignalPlan
     container: ProcessIdentity
     pgid: int
@@ -99,45 +103,6 @@ class MonitorBootArgs:
     # attempt apart from a stale one for the same container id.
     launch_token: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "container_id": self.container_id,
-                "state_root": self.state_root,
-                "mode": self.mode.value,
-                "spec": self.spec.to_dict(),
-                "daemon_identity": self.daemon_identity.to_dict(),
-                "signal_plan": self.signal_plan.to_dict(),
-                "container": self.container.to_dict(),
-                "pgid": self.pgid,
-                "stdin_fd": self.stdin_fd,
-                "stdout_fd": self.stdout_fd,
-                "stderr_fd": self.stderr_fd,
-                "parent_to_kill": self.parent_to_kill,
-                "launch_token": self.launch_token,
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> MonitorBootArgs:
-        data = json.loads(payload)
-        return cls(
-            container_id=data["container_id"],
-            state_root=data["state_root"],
-            mode=SupervisionMode(data["mode"]),
-            spec=ContainerSpec.from_dict(data["spec"]),
-            daemon_identity=ProcessIdentity.from_dict(data["daemon_identity"]),
-            signal_plan=SignalPlan.from_dict(data["signal_plan"]),
-            container=ProcessIdentity.from_dict(data["container"]),
-            pgid=int(data["pgid"]),
-            stdin_fd=int(data["stdin_fd"]),
-            stdout_fd=int(data["stdout_fd"]),
-            stderr_fd=int(data["stderr_fd"]),
-            parent_to_kill=data.get("parent_to_kill"),
-            launch_token=data.get("launch_token", ""),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Daemon-side launch choreography
@@ -146,7 +111,7 @@ class MonitorBootArgs:
 @dataclass(slots=True)
 class LaunchHandle:
     """The daemon's view of an in-flight launch: its direct child and the
-    pipe any pre-exec failure is reported through."""
+    pipe any spawn failure is reported through."""
 
     child_pid: int
     err_fd: int
@@ -163,19 +128,18 @@ def fork_monitor(
     layout: StateDirLayout,
     mode: SupervisionMode,
     spec: ContainerSpec,
-    daemon_identity: ProcessIdentity,
     signal_plan: SignalPlan,
     launch_token: str = "",
 ) -> LaunchHandle:
     """Fork toward a monitor for one container; returns immediately.
 
     decoupled: daemon -> P1 -> P2; P2 starts a session, spawns the sandbox,
-    and execs the monitor image. The monitor later kills P1, orphaning P2 so
+    and becomes the monitor. The monitor later kills P1, orphaning P2 so
     init adopts it: daemon and monitor become siblings. lazy/coupled: one
     fork; the monitor stays a daemon child.
 
     Success is learned via the monitor's Launched handshake on the daemon
-    socket, never from here. Pre-exec failures arrive on err_fd and via the
+    socket, never from here. Spawn failures arrive on err_fd and via the
     child's exit status.
     """
     err_r, err_w = os.pipe()
@@ -185,68 +149,73 @@ def fork_monitor(
         return LaunchHandle(child_pid=pid1, err_fd=err_r)
 
     # Child: never return into the daemon's stack; only os._exit.
-    sandbox._reset_forked_runtime()
-    os.close(err_r)
     try:
+        sandbox._reset_forked_runtime()
+        _close_inherited_fds(keep=err_w)
         if mode is SupervisionMode.DECOUPLED:
             # P1 exists only to be killed: its death reparents P2 to init.
             signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
             pid2 = os.fork()
             if pid2 == 0:
-                _setup_and_exec_monitor(
-                    container_id,
-                    layout,
-                    mode,
-                    spec,
-                    daemon_identity,
-                    signal_plan,
-                    launch_token,
-                    parent_to_kill=os.getppid(),
-                    err_w=err_w,
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)  # P1's, not the monitor's
+                _become_monitor(
+                    container_id, layout, spec, signal_plan, launch_token,
+                    parent_to_kill=os.getppid(), err_w=err_w,
                 )
             os.close(err_w)
             _, status = os.waitpid(pid2, 0)  # interrupted by the SIGTERM parent-kill
             os._exit(os.WEXITSTATUS(status) if os.WIFEXITED(status) else 1)
-        else:
-            _setup_and_exec_monitor(
-                container_id,
-                layout,
-                mode,
-                spec,
-                daemon_identity,
-                signal_plan,
-                launch_token,
-                parent_to_kill=None,
-                err_w=err_w,
-            )
+        _become_monitor(
+            container_id, layout, spec, signal_plan, launch_token,
+            parent_to_kill=None, err_w=err_w,
+        )
     except BaseException:  # noqa: BLE001
         os._exit(1)
 
 
-def _setup_and_exec_monitor(
+def _close_inherited_fds(keep: int) -> None:
+    """Close every descriptor above stderr but keep.
+
+    The daemon's listening socket, client connections, pidfds, epoll fd,
+    self-pipe and lock file are not the monitor's to hold: a held client
+    socket would keep that client waiting on a dead daemon.
+    """
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        if fd > 2 and fd != keep:
+            with contextlib.suppress(OSError):  # the listing's own, now closed
+                os.close(fd)
+
+
+def _become_monitor(
     container_id: str,
     layout: StateDirLayout,
-    mode: SupervisionMode,
     spec: ContainerSpec,
-    daemon_identity: ProcessIdentity,
     signal_plan: SignalPlan,
     launch_token: str,
     parent_to_kill: int | None,
     err_w: int,
 ) -> None:
-    """Runs in the monitor-to-be: new session, sandbox spawn, exec. Never returns."""
+    """Runs in the monitor-to-be: new session, sandbox spawn, then the
+    monitor on a fresh event loop. Never returns."""
     try:
         os.setsid()
         _detach_stdio(layout)
         handle = sandbox.spawn(spec)
-        for fd in (handle.stdin_w, handle.stdout_r, handle.stderr_r):
-            os.set_inheritable(fd, True)
+    except sandbox.SpawnError as exc:
+        _report_and_die(err_w, exc.errno, str(exc), code=127)
+    except sandbox.IsolationUnsupported as exc:
+        _report_and_die(err_w, 0, f"isolation_unsupported: {exc}", code=125)
+    except BaseException as exc:  # noqa: BLE001
+        _report_and_die(err_w, 0, f"monitor bootstrap failed: {exc!r}", code=126)
+    os.close(err_w)
+    code = 1
+    try:
+        sandbox.set_process_name(f"{MONITOR_COMM_PREFIX}{container_id}")
         boot = MonitorBootArgs(
             container_id=container_id,
             state_root=str(layout.root),
-            mode=mode,
             spec=spec,
-            daemon_identity=daemon_identity,
             signal_plan=signal_plan,
             container=handle.container,
             pgid=handle.pgid,
@@ -256,19 +225,16 @@ def _setup_and_exec_monitor(
             parent_to_kill=parent_to_kill,
             launch_token=launch_token,
         )
-        env = dict(os.environ)
-        env[BOOT_ENV] = boot.to_json()
-        os.execve(
-            sys.executable,
-            [sys.executable, "-m", "hydra", MONITOR_SUBCOMMAND, container_id],
-            env,
-        )
-    except sandbox.SpawnError as exc:
-        _report_and_die(err_w, exc.errno, str(exc), code=127)
-    except sandbox.IsolationUnsupported as exc:
-        _report_and_die(err_w, 0, f"isolation_unsupported: {exc}", code=125)
-    except BaseException as exc:  # noqa: BLE001
-        _report_and_die(err_w, 0, f"monitor bootstrap failed: {exc!r}", code=126)
+        # The daemon's objects stay untouched: its frames never unwind, and
+        # frozen, the collector neither finalizes them (a socket's would
+        # close a descriptor number the monitor has reused) nor writes to
+        # their pages, which stay shared with the daemon.
+        gc.freeze()
+        code = asyncio.run(Monitor(boot).run())
+    except BaseException:  # noqa: BLE001 - must not unwind into the daemon's stack
+        traceback.print_exc()  # stderr is monitor.log by now
+        sys.stderr.flush()
+    os._exit(code)
 
 
 def _detach_stdio(layout: StateDirLayout) -> None:
@@ -339,7 +305,7 @@ class ChildReaper:
     def install(self, loop: asyncio.AbstractEventLoop) -> None:
         loop.add_signal_handler(signal.SIGCHLD, self.reap)
         # A child that died before the handler existed (a fast container can
-        # beat this image's startup) will never signal again; sweep for it.
+        # beat this loop's startup) will never signal again; sweep for it.
         self.reap()
 
     def reap(self) -> None:
@@ -421,9 +387,6 @@ class Monitor:
     async def run(self) -> int:
         loop = asyncio.get_running_loop()
         boot = self.boot
-        for fd in (boot.stdin_fd, boot.stdout_fd, boot.stderr_fd):
-            os.set_inheritable(fd, False)  # keep them out of exec-op children
-
         self.reaper.install(loop)
         container_status = self.reaper.watch(boot.container.pid)
         container_status.add_done_callback(self._container_reaped)
@@ -449,6 +412,7 @@ class Monitor:
             # Orphans us away from the daemon: init adopts this process.
             with contextlib.suppress(ProcessLookupError):
                 os.kill(boot.parent_to_kill, signal.SIGTERM)
+        sandbox.release_free_heap()  # off the launch path: after the handshake
 
         await self.exited.wait()
         report = self.exit_report
@@ -556,7 +520,7 @@ class Monitor:
         self.wait_futures.clear()
 
     def _broadcast_exit_notice(self, report: ExitReport) -> None:
-        frame = encode_frame(FRAME_EXIT_NOTICE, encode_exit_report(report).encode())
+        frame = _exit_notice(report)
         for sink in list(self.sinks):
             sink.send(frame)
             # A sink mid-replay gets the notice via its backlog; its own task
@@ -694,7 +658,7 @@ class Monitor:
                     self.sinks.discard(sink)
                 return
             if sink is None:
-                self._send_exit_notice_to(writer)
+                writer.write(_exit_notice(self.exit_report))
                 return
             sink.release_backlog()
             if self.exit_report is not None:
@@ -763,13 +727,13 @@ class Monitor:
             return
         if sink is None:
             if self.exit_report is not None and follow:
-                self._send_exit_notice_to(writer)
+                writer.write(_exit_notice(self.exit_report))
             return
         sink.release_backlog()
         # Live now; hold the connection until container exit (the backlog or
         # broadcast delivers the exit notice) or the client hangs up.
         exited_task = asyncio.create_task(self.exited.wait())
-        hangup_task = asyncio.create_task(_drain_until_eof(reader))
+        hangup_task = asyncio.create_task(drain_until_eof(reader))
         try:
             await asyncio.wait(
                 {exited_task, hangup_task}, return_when=asyncio.FIRST_COMPLETED
@@ -801,14 +765,6 @@ class Monitor:
         except (ConnectionError, OSError):
             return False
         return True
-
-    def _send_exit_notice_to(self, writer: asyncio.StreamWriter) -> None:
-        assert self.exit_report is not None
-        frame = encode_frame(
-            FRAME_EXIT_NOTICE, encode_exit_report(self.exit_report).encode()
-        )
-        if not writer.is_closing():
-            writer.write(frame)
 
     async def _op_exec(
         self,
@@ -859,13 +815,13 @@ class Monitor:
             stdin_writer.close()
         report = sandbox.report_from_status(boot.container_id, status)
         with contextlib.suppress(ConnectionError):
-            self._send_exec_notice(writer, report)
+            writer.write(_exit_notice(report))
             await writer.drain()
 
-    def _send_exec_notice(self, writer: asyncio.StreamWriter, report: ExitReport) -> None:
-        frame = encode_frame(FRAME_EXIT_NOTICE, encode_exit_report(report).encode())
-        if not writer.is_closing():
-            writer.write(frame)
+
+def _exit_notice(report: ExitReport) -> bytes:
+    """The frame that ends every attach, logs -f and exec stream."""
+    return encode_frame(FRAME_EXIT_NOTICE, encode_exit_report(report).encode())
 
 
 async def _open_pipe_writer(
@@ -899,9 +855,11 @@ async def _pump_fd_to_writer(fd: int, tag: int, writer: asyncio.StreamWriter) ->
         transport.close()
 
 
-async def _drain_until_eof(reader: asyncio.StreamReader) -> None:
-    while await reader.read(_PUMP_CHUNK):
-        pass
+async def drain_until_eof(reader: asyncio.StreamReader) -> None:
+    """Discard what the peer sends until it hangs up, half-closes or resets."""
+    with contextlib.suppress(ConnectionError):
+        while await reader.read(_PUMP_CHUNK):
+            pass
 
 
 async def _feed_stdin(
@@ -922,13 +880,3 @@ async def _feed_stdin(
     finally:
         if not stdin_writer.is_closing():
             stdin_writer.close()
-
-
-def monitor_entry() -> int:
-    """Process entry point for the hidden monitor subcommand."""
-    payload = os.environ.pop(BOOT_ENV, None)
-    if payload is None:
-        print(f"{MONITOR_SUBCOMMAND} requires {BOOT_ENV}", file=sys.stderr)
-        return 2
-    boot = MonitorBootArgs.from_json(payload)
-    return asyncio.run(Monitor(boot).run())

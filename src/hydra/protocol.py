@@ -199,25 +199,6 @@ class SignalPlan:
                 f"exit_notify signal {self.exit_notify} collides with a container-bound signal"
             )
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "exit_notify": self.exit_notify,
-            "stop": self.stop,
-            "pause": self.pause,
-            "unpause": self.unpause,
-            "kill": self.kill,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> SignalPlan:
-        return cls(
-            exit_notify=int(data["exit_notify"]),
-            stop=int(data["stop"]),
-            pause=int(data["pause"]),
-            unpause=int(data["unpause"]),
-            kill=int(data["kill"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Atomic file writes

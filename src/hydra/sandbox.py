@@ -21,7 +21,6 @@ from .model import ContainerSpec, ExitReport, HydraError, Isolation, ProcessIden
 __all__ = [
     "SpawnError",
     "IsolationUnsupported",
-    "NotParentError",
     "SandboxHandle",
     "StatRow",
     "ProcRow",
@@ -29,7 +28,6 @@ __all__ = [
     "spawn",
     "spawn_exec",
     "signal_group",
-    "wait_exit",
     "report_from_status",
     "sample_proc",
     "is_alive",
@@ -42,6 +40,8 @@ __all__ = [
     "rss_bytes",
     "namespaces_supported",
     "enter_namespaces_of",
+    "set_process_name",
+    "release_free_heap",
     "DEFAULT_PATH",
 ]
 
@@ -53,7 +53,17 @@ CLONE_NEWNS = 0x0002_0000
 CLONE_NEWUTS = 0x0400_0000
 CLONE_NEWPID = 0x2000_0000
 
+_PR_SET_NAME = 15
+
 _libc = ctypes.CDLL(None, use_errno=True)
+_libc.prctl.argtypes = (
+    ctypes.c_int, ctypes.c_char_p, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong
+)
+_libc.prctl.restype = ctypes.c_int
+_malloc_trim = getattr(_libc, "malloc_trim", None)  # glibc only
+if _malloc_trim is not None:
+    _malloc_trim.argtypes = (ctypes.c_size_t,)
+    _malloc_trim.restype = ctypes.c_int
 
 
 class SpawnError(HydraError):
@@ -66,10 +76,6 @@ class SpawnError(HydraError):
 
 class IsolationUnsupported(HydraError):
     """The host refused namespace creation (missing privileges or kernel support)."""
-
-
-class NotParentError(HydraError):
-    """wait_exit called by a process that is not the container's parent."""
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +377,37 @@ def spawn(spec: ContainerSpec) -> SandboxHandle:
     )
 
 
+def set_process_name(name: str) -> None:
+    """Set this process's comm, the name ps and top show; the kernel keeps
+    the first 15 bytes. Best effort: a refusal leaves the old name."""
+    _libc.prctl(_PR_SET_NAME, name.encode()[:15], 0, 0, 0)
+
+
+def release_free_heap() -> None:
+    """Give the C heap's free pages back to the kernel (glibc malloc_trim).
+
+    A forked monitor inherits the daemon's heap, freed buffers included;
+    kept, those pages become the monitor's alone once that daemon exits.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def _reset_forked_runtime() -> None:
     """Undo inherited event-loop signal plumbing in a freshly forked child.
 
     A child forked from a live asyncio process inherits the loop's wakeup fd
     and signal handlers; left in place they would scribble on the parent's
-    socketpair. Must run before anything else in the child.
+    socketpair. Ignored signals stay ignored, as across an exec: the
+    interpreter ignores SIGPIPE and SIGXFSZ so that a write to a vanished
+    peer raises instead of killing the process. Must run before anything
+    else in the child.
     """
     signal.set_wakeup_fd(-1)
     for sig in range(1, signal.NSIG):
         try:
-            signal.signal(sig, signal.SIG_DFL)
+            if signal.getsignal(sig) is not signal.SIG_IGN:
+                signal.signal(sig, signal.SIG_DFL)
         except (OSError, ValueError):
             pass  # SIGKILL/SIGSTOP and friends
 
@@ -506,16 +532,6 @@ def report_from_status(container_id: str, status: int, *, at_ms: int | None = No
             finished_at=at_ms if at_ms is not None else now_ms(),
         )
     raise HydraError(f"unexpected wait status {status:#x} for {container_id}")
-
-
-def wait_exit(handle: SandboxHandle | int, container_id: str) -> ExitReport:
-    """Block until the container's first process exits; reap it and map the status."""
-    pid = handle.pgid if isinstance(handle, SandboxHandle) else handle
-    try:
-        _, status = os.waitpid(pid, 0)
-    except ChildProcessError:
-        raise NotParentError(f"pid {pid} is not a child of this process") from None
-    return report_from_status(container_id, status)
 
 
 # ---------------------------------------------------------------------------

@@ -277,10 +277,6 @@ class TestSignalPlan:
                 plan = SignalPlan(exit_notify=candidate)
                 assert plan.exit_notify not in container_bound
 
-    def test_round_trip(self):
-        plan = SignalPlan(exit_notify=int(signal.SIGUSR1))
-        assert SignalPlan.from_dict(plan.to_dict()) == plan
-
 
 class TestRecordFile:
     def test_round_trip_random_records(self, tmp_path):

@@ -11,19 +11,19 @@ import time
 
 import pytest
 
-from hydra.model import ContainerSpec, Isolation, ProcessIdentity
+from hydra.model import ContainerSpec, ExitReport, Isolation, ProcessIdentity
 from hydra.sandbox import (
     IsolationUnsupported,
-    NotParentError,
+    SandboxHandle,
     SpawnError,
     is_alive,
     namespaces_supported,
     proc_state,
     read_stat,
+    report_from_status,
     sample_proc,
     signal_group,
     spawn,
-    wait_exit,
 )
 
 from .support import killpg_silently
@@ -56,6 +56,12 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01):
 
 
 CID = "aabbccddeeff0011"
+
+
+def wait_exit(handle: SandboxHandle, container_id: str) -> ExitReport:
+    """Reap the container's first process (this process is its parent)."""
+    _, status = os.waitpid(handle.pgid, 0)
+    return report_from_status(container_id, status)
 
 
 @pytest.fixture
@@ -284,12 +290,6 @@ class TestIsAlive:
         wait_until(lambda: read_stat(pid).state == "Z")
         assert is_alive(ident) is False
         os.waitpid(pid, 0)
-
-
-class TestWaitExit:
-    def test_not_parent(self):
-        with pytest.raises(NotParentError):
-            wait_exit(1, CID)  # pid 1 is nobody's waitable child here
 
 
 @pytest.mark.skipif(not namespaces_supported(), reason="host denies namespace creation")
