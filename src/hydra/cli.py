@@ -44,6 +44,9 @@ __all__ = ["main"]
 
 DEFAULT_STATE_DIR = "~/.hydra"
 _DAEMON_START_TIMEOUT_S = 10.0
+# Containers per ps request: a page of summaries stays far below the 1 MiB
+# reply line limit.
+_PS_PAGE = 500
 
 
 class _UsageError(Exception):
@@ -165,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    layout = resolve_layout(Path(args.state_dir).expanduser())
+    layout = resolve_layout(Path(args.state_dir).expanduser().absolute())
     client = DaemonClient(layout)
     try:
         return _dispatch(args, layout, client)
@@ -231,7 +234,7 @@ def _dispatch(args: argparse.Namespace, layout: StateDirLayout, client: DaemonCl
         print(reply["id"])
         return 0
     if args.command == "ps":
-        return _render(args, client.request("ps", timeout=10.0), _render_ps)
+        return _render(args, _list_containers(client), _render_ps)
     if args.command == "logs":
         return _cmd_logs(args, client)
     if args.command == "attach":
@@ -239,6 +242,19 @@ def _dispatch(args: argparse.Namespace, layout: StateDirLayout, client: DaemonCl
     if args.command == "exec":
         return _cmd_exec(args, client)
     raise _UsageError(f"unknown command {args.command!r}")
+
+
+def _list_containers(client: DaemonClient) -> dict[str, Any]:
+    """The ps reply, gathered page by page: one reply line cannot hold a
+    long history. A daemon that does not page answers all in one."""
+    rows: list[dict[str, Any]] = []
+    fields: dict[str, Any] = {"limit": _PS_PAGE}
+    while True:
+        reply = client.request("ps", timeout=10.0, **fields)
+        rows += reply["containers"]
+        if reply.get("next") is None:
+            return {"ok": True, "containers": rows}
+        fields["after"] = reply["next"]
 
 
 # -- daemon lifecycle -------------------------------------------------------

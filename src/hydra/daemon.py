@@ -6,6 +6,13 @@ loses nothing: the next daemon rebuilds the registry from record files, exit
 files, and live-process identity checks (reconciliation). In decoupled and
 lazy modes no container process depends on the daemon being alive.
 
+Settled (Exited) records can no longer change, so the registry holds only
+the records that can: a settled record is its file on disk, read on demand,
+plus a line of the settled index that lets a restart skip reading it. The
+index may be stale but never wrong: each line names the identity (inode,
+mtime, size) of the record file it was made from, and a restart trusts it
+only while that file is still the one on disk.
+
 Everything runs on one asyncio loop in one OS thread. Exit notification
 arrives as a signal; asyncio delivers it via its self-pipe, so the handler
 body runs on the loop and only sets an event. Container exits are ingested
@@ -21,12 +28,14 @@ first news of a monitor that died without one.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import contextlib
 import fcntl
 import logging
 import os
 import secrets
 import signal
+import stat
 import threading
 import time
 from dataclasses import dataclass, field
@@ -62,13 +71,17 @@ from .protocol import (
     RecordFormatError,
     SignalPlan,
     StateDirLayout,
+    atomic_write_bytes,
     decode_message,
     dump_record,
     encode_message,
     load_record,
     read_exit_report,
     read_pid_file,
+    read_settled_index,
     resolve_layout,
+    settled_identity,
+    settled_line,
     write_pid_file,
 )
 
@@ -125,7 +138,11 @@ class Daemon:
         self.config = config
         self.layout = resolve_layout(config.state_root)
         self.identity = sandbox.current_identity()
+        # Every record that can still change. An Exited one leaves for disk:
+        # settled_count says how many there are.
         self.records: dict[str, ContainerRecord] = {}
+        self.settled_count = 0
+        self._index_fd: int | None = None
         self.reaper = ChildReaper()
         self.restore_ms: float | None = None
         self.serving_since_ms: int | None = None
@@ -196,7 +213,7 @@ class Daemon:
                 self.layout.root,
                 self.config.mode.value,
                 self.restore_ms,
-                len(self.records),
+                len(self.records) + self.settled_count,
             )
             if ready is not None:
                 ready.set()
@@ -211,6 +228,9 @@ class Daemon:
             try:
                 await self._teardown(loop, server, loop_tasks)
             finally:
+                if self._index_fd is not None:
+                    os.close(self._index_fd)
+                    self._index_fd = None
                 self._release_lock()
 
     async def _land_launches(self) -> None:
@@ -299,37 +319,14 @@ class Daemon:
         changes nothing. Coupled mode reboots every record that is Running or
         Paused on disk, which is the baseline behavior being emulated.
         """
-        self.records.clear()
-        if self.layout.containers_dir.is_dir():
-            for entry in sorted(self.layout.containers_dir.iterdir()):
-                record_path = entry / "record.json"
-                if not record_path.is_file():
-                    continue
-                try:
-                    record = load_record(record_path)
-                    if record.id != entry.name:
-                        raise RecordFormatError(
-                            f"record id {record.id!r} does not match directory {entry.name!r}"
-                        )
-                except RecordFormatError as exc:
-                    log.warning("quarantining %s: %s", record_path, exc)
-                    self._quarantine(record_path, "corrupt")
-                    continue
-                self.records[record.id] = record
-        with contextlib.suppress(OSError):
-            for name in os.listdir(self.layout.exits_dir):
-                container_id = name.removesuffix(".exit")
-                if name.endswith(".exit") and container_id not in self.records:
-                    log.warning("exit file for unknown container %s", container_id)
-                    self._quarantine(self.layout.exits_dir / name, "unknown")
+        self._restore_registry()
 
         reboots: list[ContainerRecord] = []
         rearm_grace: list[ContainerRecord] = []
-        for record in self.records.values():
+        # A copy: settling a record takes it out of self.records.
+        for record in list(self.records.values()):
             kind = record.state.kind
             exit_path = self.layout.exit_path(record.id)
-            if kind is StateKind.EXITED:
-                continue
             if exit_path.is_file():
                 self._ingest_one(record, exit_path)
                 continue
@@ -349,6 +346,130 @@ class Daemon:
             if self._supervise(record):
                 reboots.append(record)
         return reboots, rearm_grace
+
+    def _restore_registry(self) -> None:
+        """Load the records that can change and open the settled index.
+
+        A settled record whose index line names its record file as it is on
+        disk costs one stat. Every other record is loaded and checked as a
+        record file always is, and an Exited one is indexed again.
+        """
+        self.records.clear()
+        load, trusted = self._scan_in_child()
+        fresh: list[str] = []  # index lines the file lacks
+        for name in load:
+            path = f"{self.layout.containers_dir}/{name}/record.json"
+            record = self._read_record(name, path)
+            if record is None:
+                continue
+            if record.state.kind is StateKind.EXITED:
+                fresh.append(settled_line(name, os.stat(path)))
+            else:
+                self.records[name] = record
+        self.settled_count = trusted + len(fresh)
+        self._index_fd = os.open(
+            self.layout.settled_index,
+            os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC,
+            0o600,
+        )
+        self._append_index("".join(fresh))
+
+    def _scan_in_child(self) -> tuple[list[str], int]:
+        """_scan, run in a forked child that reports back over a pipe.
+
+        The scan makes a few objects per settled record. Freed, they would
+        still leave their pages dirty in this heap, which every monitor
+        forked from it inherits; the child takes them with it.
+        """
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(rfd)
+                load, trusted = self._scan()
+                with open(wfd, "wb") as out:
+                    out.write(encode_message({"load": load, "trusted": trusted}))
+            except Exception:
+                log.exception("state dir scan failed")
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        # Read to EOF, which comes once the child has written; its exit is
+        # not waited for: the reaper collects it once the daemon serves.
+        with open(rfd, "rb") as pipe:
+            data = pipe.read()
+        try:
+            reply = decode_message(data)
+            return list(reply["load"]), int(reply["trusted"])
+        except (MessageFormatError, KeyError, TypeError, ValueError):
+            raise HydraError(f"state dir scan of {self.layout.root} failed") from None
+
+    def _scan(self) -> tuple[list[str], int]:
+        """Find the record files to load; returns their ids, in order, and
+        how many settled records the index vouches for.
+
+        The index is rewritten when it is missing or corrupt, or when it
+        holds more dead lines (ids gone, files replaced since) than trusted
+        ones. Exit files of ids without a record file are quarantined.
+        """
+        index = read_settled_index(self.layout.settled_index)
+        identities, index_lines = index if index is not None else ({}, 0)
+        containers = str(self.layout.containers_dir)
+        listed: set[str] = set()
+        load: list[str] = []
+        lines: list[str] = []  # the trusted lines
+        for name in os.listdir(containers):
+            path = f"{containers}/{name}/record.json"
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            if not stat.S_ISREG(st.st_mode):
+                continue
+            listed.add(name)
+            if identities.get(name) == settled_identity(st):
+                lines.append(settled_line(name, st))
+            else:
+                load.append(name)
+        if index is None or index_lines - len(lines) > len(lines):
+            atomic_write_bytes(self.layout.settled_index, "".join(lines).encode())
+        with contextlib.suppress(OSError):
+            for name in os.listdir(self.layout.exits_dir):
+                container_id = name.removesuffix(".exit")
+                if name.endswith(".exit") and container_id not in listed:
+                    log.warning("exit file for unknown container %s", container_id)
+                    self._quarantine(self.layout.exits_dir / name, "unknown")
+        return sorted(load), len(lines)
+
+    def _read_record(self, container_id: str, path: str) -> ContainerRecord | None:
+        """Load and check one record file; a corrupt one is quarantined."""
+        try:
+            record = load_record(path)
+            if record.id != container_id:
+                raise RecordFormatError(
+                    f"record id {record.id!r} does not match directory {container_id!r}"
+                )
+        except RecordFormatError as exc:
+            log.warning("quarantining %s: %s", path, exc)
+            self._quarantine(Path(path), "corrupt")
+            return None
+        return record
+
+    def _load_settled(self, container_id: str) -> ContainerRecord | None:
+        """A settled record, read from its file; None if there is none."""
+        if not is_container_id(container_id):
+            return None
+        try:
+            record = self._read_record(
+                container_id, str(self.layout.record_path(container_id))
+            )
+        except OSError:
+            return None
+        if record is None:  # quarantined: no longer on disk
+            self.settled_count -= 1
+        elif record.state.kind is StateKind.EXITED:
+            return record
+        return None
 
     def _adopt_live(
         self, record: ContainerRecord, rearm_grace: list[ContainerRecord]
@@ -411,10 +532,17 @@ class Daemon:
     # -- persistence ------------------------------------------------------------
 
     def _commit(self, record: ContainerRecord) -> None:
-        """Persist record and keep its watch: one iff the record is live, on
-        its monitor unless the last supervision check chose otherwise."""
+        """Persist record and file it. An Exited one leaves the registry and
+        is indexed; any other keeps its watch: one iff the record is live,
+        on its monitor unless the last supervision check chose otherwise."""
+        path = dump_record(self.layout, record)
+        if record.state.kind is StateKind.EXITED:
+            self._unwatch(record.id)
+            if self.records.pop(record.id, None) is not None:
+                self.settled_count += 1
+            self._append_index(settled_line(record.id, os.stat(path)))
+            return
         self.records[record.id] = record
-        dump_record(self.layout, record)
         watch = self._watches.get(record.id)
         if record.state.kind not in _LIVE_KINDS:
             self._unwatch(record.id)
@@ -440,6 +568,13 @@ class Daemon:
         if release is not None:
             release.set()
 
+    def _append_index(self, lines: str) -> None:
+        # Not fsynced, as record files are not: a lost line costs the next
+        # start one record load.
+        if lines and self._index_fd is not None:
+            with contextlib.suppress(OSError):
+                os.write(self._index_fd, lines.encode())
+
     def _quarantine(self, path: Path, reason: str) -> None:
         with contextlib.suppress(OSError):
             os.replace(path, path.with_name(f"{path.name}.{reason}"))
@@ -457,14 +592,13 @@ class Daemon:
         """Settle every not-yet-Exited record whose exit file is present.
 
         The doorbell signal coalesces under load, so one wake must always
-        process everything present. Settled records cost no stat, so a wake
-        scales with the records still to settle, not with the history.
+        process everything present. Settled records are not in the registry,
+        so a wake scales with the records still to settle, not the history.
         """
         for record in list(self.records.values()):
-            if record.state.kind is not StateKind.EXITED:
-                path = self.layout.exit_path(record.id)
-                if path.is_file():
-                    self._ingest_one(record, path)
+            path = self.layout.exit_path(record.id)
+            if path.is_file():
+                self._ingest_one(record, path)
 
     def _ingest_one(self, record: ContainerRecord, path: Path) -> None:
         try:
@@ -730,7 +864,7 @@ class Daemon:
 
     def _get(self, request: dict[str, Any]) -> ContainerRecord:
         container_id = str(request.get("id", ""))
-        record = self.records.get(container_id)
+        record = self.records.get(container_id) or self._load_settled(container_id)
         if record is None:
             raise ApiError("not_found", f"no container {container_id!r}")
         return record
@@ -773,7 +907,7 @@ class Daemon:
         container_id = request.get("id") or new_container_id()
         if not is_container_id(container_id):
             raise ApiError("invalid_id", f"{container_id!r} is not a container id")
-        if container_id in self.records:
+        if container_id in self.records or self.layout.record_path(container_id).exists():
             raise ApiError("id_in_use", container_id)
         record = ContainerRecord(
             id=container_id,
@@ -810,6 +944,8 @@ class Daemon:
             raise ApiError(
                 "invalid_state", f"{record.id} is {record.state.kind.value}"
             )
+        if record.id not in self.records:
+            self.settled_count -= 1  # a settled record comes back
         record.reset_for_relaunch()
         self._commit(record)
         return await self._launch_or_settle(record)
@@ -918,7 +1054,10 @@ class Daemon:
         record = self._settled(request)
         if record.state.kind not in (StateKind.EXITED, StateKind.LOST):
             raise ApiError("rm_running", f"{record.id} is {record.state.kind.value}")
-        self.records.pop(record.id, None)
+        # A settled id's index line is left behind: without its record file
+        # it is dead, and the next rewrite drops it.
+        if self.records.pop(record.id, None) is None:
+            self.settled_count -= 1
         self._wake_lost(record)
         for path in (
             self.layout.exit_path(record.id),
@@ -930,21 +1069,64 @@ class Daemon:
                 os.unlink(path)
         with contextlib.suppress(OSError):
             os.rmdir(self.layout.container_dir(record.id))
+        # Last: the id is free again by now, and a run reusing it keeps what
+        # it makes meanwhile.
+        if record.state.kind is StateKind.EXITED and record.monitor is not None:
+            await self._end_grace(record.monitor)
         return {"ok": True, "id": record.id}
+
+    async def _end_grace(self, monitor: ProcessIdentity) -> None:
+        """Kill an exited container's monitor if it is still answering late
+        clients, and wait until it is gone: rm leaves no process behind."""
+        loop = asyncio.get_running_loop()
+        with contextlib.suppress(ProcessLookupError):
+            fd = os.pidfd_open(monitor.pid)
+            try:
+                # Checked after the open, so a reused pid cannot slip in.
+                if sandbox.is_alive(monitor):
+                    signal.pidfd_send_signal(fd, signal.SIGKILL)
+                    gone = loop.create_future()
+                    loop.add_reader(fd, lambda: gone.done() or gone.set_result(None))
+                    try:
+                        await asyncio.wait_for(gone, timeout=1.0)
+                    except asyncio.TimeoutError:
+                        log.warning("monitor %d outlived its SIGKILL", monitor.pid)
+                    finally:
+                        loop.remove_reader(fd)
+            finally:
+                os.close(fd)
 
     # -- ops: observation --------------------------------------------------------
 
     async def _op_ps(self, request: dict[str, Any]) -> dict[str, Any]:
-        rows = [
-            self._summary(record)
-            for _, record in sorted(self.records.items())
-        ]
-        return {"ok": True, "containers": rows}
+        """Every container's summary, in id order, settled ones read from
+        their record files. With `limit`, one page of at most that many
+        containers, starting after the id `after`; its `next` names the id
+        to continue after, None on the last page."""
+        limit = request.get("limit")
+        if limit is not None and (type(limit) is not int or limit <= 0):
+            raise ApiError("invalid_request", f"limit must be a positive integer, got {limit!r}")
+        ids = sorted(self.records.keys() | set(os.listdir(self.layout.containers_dir)))
+        after = request.get("after")
+        if after is not None:
+            ids = ids[bisect.bisect_right(ids, str(after)) :]
+        page = ids if limit is None else ids[:limit]
+        rows = []
+        for container_id in page:
+            record = self.records.get(container_id) or self._load_settled(container_id)
+            if record is not None:
+                rows.append(self._summary(record))
+        reply: dict[str, Any] = {"ok": True, "containers": rows}
+        if limit is not None:
+            reply["next"] = page[-1] if len(page) < len(ids) else None
+        return reply
 
     async def _op_status(self, request: dict[str, Any]) -> dict[str, Any]:
         counts: dict[str, int] = {}
         for record in self.records.values():
             counts[record.state.kind.value] = counts.get(record.state.kind.value, 0) + 1
+        if self.settled_count:
+            counts[StateKind.EXITED.value] = self.settled_count
         return {
             "ok": True,
             "pid": self.identity.pid,

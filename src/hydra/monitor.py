@@ -400,6 +400,7 @@ class Monitor:
             self._on_connection, path=str(sock_path), limit=MAX_MESSAGE_BYTES
         )
         os.chmod(sock_path, 0o600)
+        sock_ino = os.stat(sock_path).st_ino
 
         self.stdin_writer = await _open_pipe_writer(loop, boot.stdin_fd)
         pumps = [
@@ -432,6 +433,10 @@ class Monitor:
         self._finish_waiters(report)
         self._broadcast_exit_notice(report)
 
+        # A client that learned of this socket before the exit may dial in
+        # only now: keep answering (wait, ping, logs) for the grace. An rm
+        # of the container ends it sooner, by SIGKILL.
+        await asyncio.sleep(_SHUTDOWN_GRACE_S)
         server.close()
         await server.wait_closed()
         # Parked connections (wait repliers, attach holders) were unblocked by
@@ -445,7 +450,8 @@ class Monitor:
             if pending:
                 await asyncio.wait(pending, timeout=1.0)
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(sock_path)
+            if os.stat(sock_path).st_ino == sock_ino:  # not a new start's socket
+                os.unlink(sock_path)
         self.log_fh.close()
         return code
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +59,9 @@ __all__ = [
     "read_pid_file",
     "dump_record",
     "load_record",
+    "settled_identity",
+    "settled_line",
+    "read_settled_index",
     "atomic_write_bytes",
 ]
 
@@ -136,6 +140,10 @@ class StateDirLayout:
     @property
     def logs_dir(self) -> Path:
         return self.root / "logs"
+
+    @property
+    def settled_index(self) -> Path:
+        return self.root / "settled.index"
 
     def container_dir(self, container_id: str) -> Path:
         return self.containers_dir / container_id
@@ -408,3 +416,43 @@ def load_record(path: str | Path) -> ContainerRecord:
         raise RecordFormatError(f"{path}: {exc}") from None
     except InvalidSpec as exc:
         raise RecordFormatError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Settled index: one line per Exited record, appended by the daemon
+#
+#   <id> <st_ino> <st_mtime_ns> <st_size>
+#
+# The stat fields name the record.json the line was made from, which was
+# Exited. A line is only trusted while the file on disk still has that
+# identity: record files are replaced by rename, never rewritten in place.
+
+_SETTLED_LINE = re.compile(r"^([0-9a-f]{16}) ([0-9]+ [0-9]+ [0-9]+)$", re.MULTILINE)
+
+
+def settled_identity(stat: os.stat_result) -> str:
+    return f"{stat.st_ino} {stat.st_mtime_ns} {stat.st_size}"
+
+
+def settled_line(container_id: str, stat: os.stat_result) -> str:
+    return f"{container_id} {settled_identity(stat)}\n"
+
+
+def read_settled_index(path: Path) -> tuple[dict[str, str], int] | None:
+    """Map id -> settled_identity, later lines winning, and the line count.
+
+    None when the file is missing or any line is malformed, a truncated last
+    line included: then nothing in it is trusted.
+    """
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii")
+    except (OSError, UnicodeDecodeError):
+        return None
+    lines = text.count("\n")
+    if text and not text.endswith("\n"):
+        return None
+    found = _SETTLED_LINE.findall(text)
+    if len(found) != lines:
+        return None
+    return dict(found), lines

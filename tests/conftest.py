@@ -9,14 +9,17 @@ starve the rest of the suite of pids.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Callable, Iterator
 
 import pytest
 
+import hydra
 from hydra.harness import Engine
 
 
@@ -88,17 +91,33 @@ def engine(make_engine) -> Engine:
     return make_engine("decoupled")
 
 
+@pytest.fixture
+def state_root() -> Iterator[str]:
+    # Short: the monitor socket path must fit in sun_path.
+    root = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
+    yield root
+    shutil.rmtree(root, ignore_errors=True)
+
+
 def run_cli(
-    *args: str, state_dir: str, timeout_s: float = 30.0, stdin: bytes | None = None
+    *args: str,
+    state_dir: str,
+    timeout_s: float = 30.0,
+    stdin: bytes | None = None,
+    cwd: str | None = None,
 ) -> subprocess.CompletedProcess:
-    """Invoke the command line exactly as a user would."""
-    env = dict(os.environ, HYDRA_STATE_DIR=state_dir)
+    """Invoke the command line exactly as a user would, with the hydra these
+    tests import, from any cwd."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hydra.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, HYDRA_STATE_DIR=state_dir, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "hydra", *args],
         env=env,
         input=stdin,
         capture_output=True,
         timeout=timeout_s,
+        cwd=cwd,
     )
 
 

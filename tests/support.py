@@ -1,10 +1,17 @@
-"""Shared test helpers: random model-value generators and process hygiene."""
+"""Shared test helpers: random model-value generators, process hygiene, and
+a daemon hosted on the test's own event loop."""
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import os
 import random
 import signal
+import time
+
+from hydra import sandbox
+from hydra.daemon import Daemon, DaemonConfig
 
 from hydra.model import (
     ContainerRecord,
@@ -17,6 +24,7 @@ from hydra.model import (
     SupervisionMode,
     new_container_id,
 )
+from hydra.protocol import StateDirLayout, decode_message, dump_record, encode_message
 
 WORDS = ["sleep", "cat", "echo", "true", "sh", "env", "tail", "yes"]
 
@@ -84,6 +92,30 @@ def make_random_record(rng: random.Random) -> ContainerRecord:
     return record
 
 
+def dead_pid_base() -> int:
+    """Pids above pid_max are never live, so these identities stay dead."""
+    with open("/proc/sys/kernel/pid_max") as fh:
+        return int(fh.read()) + 1
+
+
+def write_settled(layout: StateDirLayout, count: int) -> dict[str, int]:
+    """count Exited records with dead identities; returns id -> exit code."""
+    spec = ContainerSpec(command=("true",))
+    dead = dead_pid_base()
+    codes = {}
+    for n in range(count):
+        container_id = f"{n:016x}"
+        codes[container_id] = n % 256
+        dump_record(layout, ContainerRecord(
+            id=container_id, spec=spec, mode=SupervisionMode.DECOUPLED,
+            state=ContainerState.exited(code=n % 256),
+            monitor=ProcessIdentity(dead + 2 * n, 1),
+            container=ProcessIdentity(dead + 2 * n + 1, 1),
+            created_at=1000, started_at=1100, finished_at=2000 + n,
+        ))
+    return codes
+
+
 def kill_silently(pid: int, sig: int = signal.SIGKILL) -> None:
     try:
         os.kill(pid, sig)
@@ -96,3 +128,46 @@ def killpg_silently(pgid: int, sig: int = signal.SIGKILL) -> None:
         os.killpg(pgid, sig)
     except (ProcessLookupError, PermissionError):
         pass
+
+
+# -- a daemon on this test's loop ------------------------------------------------
+
+
+async def request(daemon: Daemon, op: str, **fields) -> dict:
+    reader, writer = await asyncio.open_unix_connection(str(daemon.layout.daemon_sock))
+    try:
+        writer.write(encode_message({"op": op, **fields}))
+        return decode_message(await asyncio.wait_for(reader.readline(), 30.0))
+    finally:
+        writer.close()
+
+
+async def until(predicate, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met in time"
+        await asyncio.sleep(0.01)
+
+
+async def host(state_root: str) -> tuple[Daemon, asyncio.Task]:
+    """A daemon serving on this loop, and the task that runs it."""
+    daemon = Daemon(DaemonConfig(state_root=state_root))
+    ready = asyncio.Event()
+    serving = asyncio.create_task(daemon.serve(ready=ready))
+    await asyncio.wait_for(ready.wait(), 15.0)
+    return daemon, serving
+
+
+async def stop(daemon: Daemon, serving: asyncio.Task) -> None:
+    await request(daemon, "shutdown")
+    await asyncio.wait_for(serving, 30.0)
+
+
+async def stop_and_kill(daemon: Daemon, serving: asyncio.Task) -> None:
+    await stop(daemon, serving)
+    # Monitors first: a killed monitor rings no doorbell at this process.
+    for record in daemon.records.values():
+        for identity in (record.monitor, record.container):
+            if identity is not None and sandbox.is_alive(identity):
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(identity.pid, signal.SIGKILL)

@@ -13,7 +13,10 @@ import time
 
 import pytest
 
+from hydra.protocol import resolve_layout
+
 from .conftest import kill_group_silently, kill_silently, run_cli, wait_for
+from .support import write_settled
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,34 @@ def test_daemon_start_status_stop_cycle():
         after = run_cli("ps", state_dir=root)
         assert after.returncode == 2
     finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def test_relative_state_dir_resolves_against_cwd():
+    cwd = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
+    try:
+        started = run_cli("--state-dir", "s", "daemon", "start", state_dir="", cwd=cwd)
+        assert started.returncode == 0, started.stderr
+        status = run_cli("--state-dir", "s", "--json", "daemon", "status", state_dir="", cwd=cwd)
+        assert status.returncode == 0, status.stderr
+        assert json.loads(status.stdout)["state_dir"] == os.path.join(cwd, "s")
+    finally:
+        run_cli("--state-dir", "s", "daemon", "stop", state_dir="", cwd=cwd)
+        shutil.rmtree(cwd, ignore_errors=True)
+
+
+def test_ps_lists_ten_thousand_containers():
+    # Far more summaries than one 1 MiB reply line holds.
+    root = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
+    try:
+        codes = write_settled(resolve_layout(root), 10_000)
+        assert run_cli("daemon", "start", state_dir=root).returncode == 0
+        listing = run_cli("ps", state_dir=root, timeout_s=60.0)
+        assert listing.returncode == 0, listing.stderr
+        rows = listing.stdout.decode().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == sorted(codes)
+    finally:
+        run_cli("daemon", "stop", state_dir=root)
         shutil.rmtree(root, ignore_errors=True)
 
 

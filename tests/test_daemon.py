@@ -480,7 +480,18 @@ def test_daemon_fds_return_to_baseline(engine):
     def open_fds() -> int:
         return len(os.listdir(f"/proc/{engine.proc.pid}/fd"))
 
-    baseline = open_fds()
+    def steady_fds(hold_s: float = 0.2) -> int:
+        # The connection of the status request that ended Engine.start may
+        # still be closing in the daemon.
+        last, since = open_fds(), time.monotonic()
+        while time.monotonic() - since < hold_s:
+            time.sleep(0.02)
+            now = open_fds()
+            if now != last:
+                last, since = now, time.monotonic()
+        return last
+
+    baseline = steady_fds()
     for _ in range(10):
         reply = engine.run(["sleep", "60"])
         assert wait_for(lambda: open_fds() == baseline + 1)  # one pidfd per live container

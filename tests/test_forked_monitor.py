@@ -10,10 +10,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import shutil
 import signal
 import socket
-import tempfile
 import threading
 import time
 
@@ -21,13 +19,14 @@ import pytest
 
 from hydra import sandbox
 from hydra.client import TransportError
-from hydra.daemon import ApiError, Daemon, DaemonConfig
+from hydra.daemon import ApiError
 from hydra.harness import Engine
 from hydra.model import StateKind
 from hydra.monitor import MONITOR_COMM_PREFIX, Monitor
-from hydra.protocol import decode_message, encode_message, load_record, resolve_layout
+from hydra.protocol import encode_message, load_record, resolve_layout
 
 from .conftest import pid_alive, wait_for
+from .support import host, request, stop_and_kill, until
 
 
 def fd_links(pid: int) -> list[str]:
@@ -102,50 +101,6 @@ def test_monitor_comm_names_its_container(engine):
 
 
 # -- against a daemon on this test's loop ---------------------------------------
-
-
-@pytest.fixture
-def state_root():
-    # Short: the monitor socket path must fit in sun_path.
-    root = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
-    yield root
-    shutil.rmtree(root, ignore_errors=True)
-
-
-async def request(daemon: Daemon, op: str, **fields) -> dict:
-    reader, writer = await asyncio.open_unix_connection(str(daemon.layout.daemon_sock))
-    try:
-        writer.write(encode_message({"op": op, **fields}))
-        return decode_message(await asyncio.wait_for(reader.readline(), 30.0))
-    finally:
-        writer.close()
-
-
-async def until(predicate, timeout_s: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        assert time.monotonic() < deadline, "condition not met in time"
-        await asyncio.sleep(0.01)
-
-
-async def host(state_root: str) -> tuple[Daemon, asyncio.Task]:
-    """A daemon serving on this loop, and the task that runs it."""
-    daemon = Daemon(DaemonConfig(state_root=state_root))
-    ready = asyncio.Event()
-    serving = asyncio.create_task(daemon.serve(ready=ready))
-    await asyncio.wait_for(ready.wait(), 15.0)
-    return daemon, serving
-
-
-async def stop_and_kill(daemon: Daemon, serving: asyncio.Task) -> None:
-    await request(daemon, "shutdown")
-    await asyncio.wait_for(serving, 30.0)
-    # Monitors first: a killed monitor rings no doorbell at this process.
-    for record in daemon.records.values():
-        for identity in (record.monitor, record.container):
-            if identity is not None and sandbox.is_alive(identity):
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(identity.pid, signal.SIGKILL)
 
 
 def test_daemon_stop_lets_launch_in_flight_land(state_root, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from hydra.client import (
 )
 from hydra.protocol import FRAME_EXIT_NOTICE, FRAME_STDERR, FRAME_STDOUT
 
-from .conftest import wait_for
+from .conftest import pid_alive, wait_for
 
 
 def collect_until_exit(stream: MonitorStream, *, timeout: float = 20.0):
@@ -129,6 +130,25 @@ def test_wait_reports_exit_code(engine):
     ) as stream:
         assert stream.reply["exit_code"] == 5
         assert stream.reply["term_signal"] is None
+
+
+def test_wait_and_ping_answer_after_exit(engine):
+    # A client that learned of the socket before the exit may dial in after it.
+    reply = engine.run(["sh", "-c", "exit 5"])
+    engine.client.request("wait", id=reply["id"], timeout=15.0)
+    time.sleep(0.3)  # well inside the monitor's 2 s shutdown grace
+    with MonitorStream(reply["monitor_sock"], {"op": "wait"}, timeout=5.0) as stream:
+        assert stream.reply["exit_code"] == 5
+    with MonitorStream(reply["monitor_sock"], {"op": "ping"}, timeout=5.0) as stream:
+        assert stream.reply["exited"] is True
+
+
+def test_rm_ends_the_grace(engine):
+    reply = engine.run(["sh", "-c", "exit 0"])
+    engine.client.request("wait", id=reply["id"], timeout=15.0)
+    assert pid_alive(reply["monitor_pid"])  # still answering late clients
+    engine.client.request("rm", id=reply["id"])
+    assert not pid_alive(reply["monitor_pid"])
 
 
 def test_wait_reports_signal_death(engine):

@@ -37,7 +37,10 @@ from hydra.protocol import (
     encode_pid_line,
     load_record,
     read_exit_report,
+    read_settled_index,
     resolve_layout,
+    settled_identity,
+    settled_line,
     write_exit_report,
 )
 
@@ -276,6 +279,32 @@ class TestSignalPlan:
             else:
                 plan = SignalPlan(exit_notify=candidate)
                 assert plan.exit_notify not in container_bound
+
+
+class TestSettledIndex:
+    def test_round_trip(self, tmp_path):
+        layout = resolve_layout(tmp_path)
+        rng = random.Random(9)
+        lines, identities = [], {}
+        for _ in range(100):
+            record = make_random_record(rng)
+            st = os.stat(dump_record(layout, record))
+            identities[record.id] = settled_identity(st)
+            lines.append(settled_line(record.id, st))
+        layout.settled_index.write_text("".join(lines))
+        assert read_settled_index(layout.settled_index) == (identities, len(lines))
+
+    @pytest.mark.parametrize("text", [
+        "0123456789abcdef 1 2 3",  # no newline: truncated
+        "0123456789abcdef 1 2\n",
+        "0123456789ABCDEF 1 2 3\n",
+        "0123456789abcdef 1 2 3\n\n",
+    ])
+    def test_any_bad_line_discards_the_index(self, tmp_path, text):
+        path = tmp_path / "settled.index"
+        path.write_text("fedcba9876543210 1 2 3\n" + text)
+        assert read_settled_index(path) is None
+        assert read_settled_index(tmp_path / "missing") is None
 
 
 class TestRecordFile:
