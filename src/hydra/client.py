@@ -1,6 +1,6 @@
 """Synchronous clients for the daemon and monitor sockets.
 
-The CLI, the experiment harness, and tests all talk to the engine through
+The CLI, the benchmark and the tests all talk to the engine through
 these. Requests are one JSON line each way; attach/exec/logs connections
 then turn into frame streams, which MonitorStream exposes as an iterator.
 """

@@ -38,7 +38,7 @@ import signal
 import stat
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -65,11 +65,11 @@ from .monitor import (
     read_spawn_failure,
 )
 from .protocol import (
+    EXIT_NOTIFY,
     MAX_MESSAGE_BYTES,
     ExitFormatError,
     MessageFormatError,
     RecordFormatError,
-    SignalPlan,
     StateDirLayout,
     atomic_write_bytes,
     decode_message,
@@ -86,7 +86,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "DEFAULT_HANDSHAKE_TIMEOUT_MS",
     "WAITER_CONTEXT_BYTES",
     "DaemonConfig",
     "AlreadyRunning",
@@ -96,7 +95,8 @@ __all__ = [
 
 log = logging.getLogger("hydra.daemon")
 
-DEFAULT_HANDSHAKE_TIMEOUT_MS = 5000
+# How long a launch, or a shutdown landing launches, waits for Launched.
+_HANDSHAKE_TIMEOUT_MS = 5000
 # Per-container ballast held by each coupled-mode waiter thread, standing in
 # for the per-container runtime bookkeeping of the engines that mode emulates.
 WAITER_CONTEXT_BYTES = 65536
@@ -108,13 +108,9 @@ _LIVE_KINDS = (StateKind.RUNNING, StateKind.PAUSED, StateKind.STOPPING)
 class DaemonConfig:
     state_root: str
     mode: SupervisionMode = SupervisionMode.DECOUPLED
-    handshake_timeout_ms: int = DEFAULT_HANDSHAKE_TIMEOUT_MS
-    signal_plan: SignalPlan = field(default_factory=SignalPlan)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", SupervisionMode(self.mode))
-        if self.handshake_timeout_ms <= 0:
-            raise InvalidSpec("handshake_timeout_ms must be positive")
 
 
 class AlreadyRunning(HydraError):
@@ -183,9 +179,7 @@ class Daemon:
             # that reads the fresh pid must never signal a handlerless
             # process (an unhandled real-time signal is fatal).
             self.reaper.install(loop)
-            loop.add_signal_handler(
-                self.config.signal_plan.exit_notify, self._exit_wake.set
-            )
+            loop.add_signal_handler(EXIT_NOTIFY, self._exit_wake.set)
             loop.add_signal_handler(signal.SIGTERM, self._shutdown.set)
             loop.add_signal_handler(signal.SIGINT, self._shutdown.set)
             write_pid_file(self.layout.daemon_pid, self.identity)
@@ -245,7 +239,7 @@ class Daemon:
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(
                 self._no_launch_pending.wait(),
-                timeout=self.config.handshake_timeout_ms / 1000.0,
+                timeout=_HANDSHAKE_TIMEOUT_MS / 1000.0,
             )
 
     async def _teardown(
@@ -269,7 +263,7 @@ class Daemon:
         if doomed:
             await asyncio.gather(*doomed, return_exceptions=True)
         for sig in (
-            self.config.signal_plan.exit_notify,
+            EXIT_NOTIFY,
             signal.SIGTERM,
             signal.SIGINT,
             signal.SIGCHLD,
@@ -748,17 +742,12 @@ class Daemon:
         handle: LaunchHandle | None = None
         try:
             handle = fork_monitor(
-                record.id,
-                self.layout,
-                self.config.mode,
-                record.spec,
-                self.config.signal_plan,
-                launch_token=token,
+                record.id, self.layout, self.config.mode, record.spec, launch_token=token
             )
             forked = self.reaper.watch(handle.child_pid)
             done, _ = await asyncio.wait(
                 {launched, forked},
-                timeout=self.config.handshake_timeout_ms / 1000.0,
+                timeout=_HANDSHAKE_TIMEOUT_MS / 1000.0,
                 return_when=asyncio.FIRST_COMPLETED,
             )
             if launched in done:
@@ -784,7 +773,7 @@ class Daemon:
             return ApiError(
                 "handshake_timeout",
                 f"monitor for {record.id} did not report within "
-                f"{self.config.handshake_timeout_ms} ms",
+                f"{_HANDSHAKE_TIMEOUT_MS} ms",
             )
         finally:
             self._pending_launch.pop(record.id, None)
@@ -955,7 +944,7 @@ class Daemon:
         grace_ms = self._grace_ms(request, record)
         if record.state.kind is StateKind.PAUSED:
             # a fully stopped group ignores SIGTERM; resume it first
-            self._signal_record(record, self.config.signal_plan.unpause)
+            self._signal_record(record, signal.SIGCONT)
             record.advance(ContainerState.running())
             self._commit(record)
         if record.state.kind is StateKind.RUNNING:
@@ -970,7 +959,7 @@ class Daemon:
         if kind is StateKind.EXITED:
             return {"ok": True, "id": record.id, "already": "exited"}
         if kind is StateKind.STOPPING:
-            self._signal_record(record, self.config.signal_plan.stop)
+            self._signal_record(record, signal.SIGTERM)
             return {"ok": True, "id": record.id, "already": "stopping"}
         if kind is not StateKind.RUNNING:
             raise ApiError("invalid_state", f"{record.id} is {kind.value}")
@@ -985,7 +974,7 @@ class Daemon:
     def _begin_stop(self, record: ContainerRecord, grace_ms: int) -> None:
         record.advance(ContainerState.stopping())
         self._commit(record)
-        self._signal_record(record, self.config.signal_plan.stop)
+        self._signal_record(record, signal.SIGTERM)
         self._arm_grace_timer(record.id, grace_ms)
 
     def _arm_grace_timer(self, container_id: str, grace_ms: int) -> None:
@@ -994,9 +983,7 @@ class Daemon:
             record = self.records.get(container_id)
             if record is not None and record.state.kind is StateKind.STOPPING:
                 if record.container is not None:
-                    sandbox.signal_group(
-                        record.container.pid, self.config.signal_plan.kill
-                    )
+                    sandbox.signal_group(record.container.pid, signal.SIGKILL)
 
         self._spawn(enforce())
 
@@ -1006,10 +993,10 @@ class Daemon:
         if kind is StateKind.EXITED:
             return {"ok": True, "id": record.id, "already": "exited"}
         if kind in _LIVE_KINDS and record.container is not None:
-            self._signal_record(record, self.config.signal_plan.kill)
+            self._signal_record(record, signal.SIGKILL)
             return {"ok": True, "id": record.id}
         if kind is StateKind.LOST and record.container is not None:
-            sandbox.signal_group(record.container.pid, self.config.signal_plan.kill)
+            sandbox.signal_group(record.container.pid, signal.SIGKILL)
             return {"ok": True, "id": record.id}
         raise ApiError("invalid_state", f"{record.id} is {kind.value}")
 
@@ -1017,7 +1004,7 @@ class Daemon:
         record = self._settled(request)
         if record.state.kind is not StateKind.RUNNING:
             raise ApiError("invalid_state", f"{record.id} is {record.state.kind.value}")
-        self._signal_record(record, self.config.signal_plan.pause)
+        self._signal_record(record, signal.SIGSTOP)
         record.advance(ContainerState.paused())
         self._commit(record)
         return {"ok": True, "id": record.id}
@@ -1026,7 +1013,7 @@ class Daemon:
         record = self._settled(request)
         if record.state.kind is not StateKind.PAUSED:
             raise ApiError("invalid_state", f"{record.id} is {record.state.kind.value}")
-        self._signal_record(record, self.config.signal_plan.unpause)
+        self._signal_record(record, signal.SIGCONT)
         record.advance(ContainerState.running())
         self._commit(record)
         return {"ok": True, "id": record.id}

@@ -1,4 +1,4 @@
-"""Domain types shared by the daemon, monitor, CLI, and bench harness.
+"""Domain types shared by the daemon, monitor, and CLI.
 
 Everything here is a plain value: safe to copy between tasks and processes,
 no interior mutation except ContainerRecord, which is owned by exactly one

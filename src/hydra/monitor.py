@@ -27,6 +27,7 @@ import os
 import signal
 import sys
 import traceback
+from collections.abc import Awaitable, Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -39,6 +40,7 @@ from .model import (
     SupervisionMode,
 )
 from .protocol import (
+    EXIT_NOTIFY,
     FRAME_EXIT_NOTICE,
     FRAME_STDERR,
     FRAME_STDIN,
@@ -48,7 +50,6 @@ from .protocol import (
     FrameError,
     MessageFormatError,
     PidFileError,
-    SignalPlan,
     StateDirLayout,
     decode_message,
     encode_exit_report,
@@ -92,7 +93,6 @@ class MonitorBootArgs:
     container_id: str
     state_root: str
     spec: ContainerSpec
-    signal_plan: SignalPlan
     container: ProcessIdentity
     pgid: int
     stdin_fd: int
@@ -128,7 +128,6 @@ def fork_monitor(
     layout: StateDirLayout,
     mode: SupervisionMode,
     spec: ContainerSpec,
-    signal_plan: SignalPlan,
     launch_token: str = "",
 ) -> LaunchHandle:
     """Fork toward a monitor for one container; returns immediately.
@@ -159,14 +158,14 @@ def fork_monitor(
             if pid2 == 0:
                 signal.signal(signal.SIGTERM, signal.SIG_DFL)  # P1's, not the monitor's
                 _become_monitor(
-                    container_id, layout, spec, signal_plan, launch_token,
+                    container_id, layout, spec, launch_token,
                     parent_to_kill=os.getppid(), err_w=err_w,
                 )
             os.close(err_w)
             _, status = os.waitpid(pid2, 0)  # interrupted by the SIGTERM parent-kill
             os._exit(os.WEXITSTATUS(status) if os.WIFEXITED(status) else 1)
         _become_monitor(
-            container_id, layout, spec, signal_plan, launch_token,
+            container_id, layout, spec, launch_token,
             parent_to_kill=None, err_w=err_w,
         )
     except BaseException:  # noqa: BLE001
@@ -191,7 +190,6 @@ def _become_monitor(
     container_id: str,
     layout: StateDirLayout,
     spec: ContainerSpec,
-    signal_plan: SignalPlan,
     launch_token: str,
     parent_to_kill: int | None,
     err_w: int,
@@ -216,7 +214,6 @@ def _become_monitor(
             container_id=container_id,
             state_root=str(layout.root),
             spec=spec,
-            signal_plan=signal_plan,
             container=handle.container,
             pgid=handle.pgid,
             stdin_fd=handle.stdin_w,
@@ -387,6 +384,8 @@ class Monitor:
     async def run(self) -> int:
         loop = asyncio.get_running_loop()
         boot = self.boot
+        # Before anything can serve an attach or reap the container.
+        self.stdin_writer = await _open_pipe_writer(loop, boot.stdin_fd)
         self.reaper.install(loop)
         container_status = self.reaper.watch(boot.container.pid)
         container_status.add_done_callback(self._container_reaped)
@@ -402,10 +401,9 @@ class Monitor:
         os.chmod(sock_path, 0o600)
         sock_ino = os.stat(sock_path).st_ino
 
-        self.stdin_writer = await _open_pipe_writer(loop, boot.stdin_fd)
         pumps = [
-            asyncio.create_task(self._pump(boot.stdout_fd, FRAME_STDOUT)),
-            asyncio.create_task(self._pump(boot.stderr_fd, FRAME_STDERR)),
+            asyncio.create_task(_pump(boot.stdout_fd, FRAME_STDOUT, self._capture)),
+            asyncio.create_task(_pump(boot.stderr_fd, FRAME_STDERR, self._capture)),
         ]
 
         await self._handshake()
@@ -517,7 +515,7 @@ class Monitor:
         if not sandbox.is_alive(current):
             return
         with contextlib.suppress(ProcessLookupError, PermissionError):
-            os.kill(current.pid, self.boot.signal_plan.exit_notify)
+            os.kill(current.pid, EXIT_NOTIFY)
 
     def _finish_waiters(self, report: ExitReport) -> None:
         for future in self.wait_futures:
@@ -535,27 +533,12 @@ class Monitor:
                 sink.writer.close()
         self.sinks.clear()
 
-    # -- stdout/stderr pumping ---------------------------------------------
-
-    async def _pump(self, fd: int, tag: int) -> None:
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(loop=loop)
-        transport, _ = await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader, loop=loop),
-            os.fdopen(fd, "rb", buffering=0),
-        )
-        try:
-            while True:
-                data = await reader.read(_PUMP_CHUNK)
-                if not data:
-                    break
-                frame = encode_frame(tag, data)
-                self.log_fh.write(frame)
-                self.log_fh.flush()
-                for sink in list(self.sinks):
-                    sink.send(frame)
-        finally:
-            transport.close()
+    async def _capture(self, frame: bytes) -> None:
+        """Container output: into the log, then to every streaming client."""
+        self.log_fh.write(frame)
+        self.log_fh.flush()
+        for sink in list(self.sinks):
+            sink.send(frame)
 
     # -- per-connection API ---------------------------------------------------
 
@@ -669,26 +652,12 @@ class Monitor:
             sink.release_backlog()
             if self.exit_report is not None:
                 return  # exit landed mid-replay; the notice left via backlog
-        assert sink is not None
-        decoder = FrameDecoder()
+        assert sink is not None and self.stdin_writer is not None
         try:
-            while True:
-                data = await reader.read(_PUMP_CHUNK)
-                if not data:
-                    await self._attach_eof(writer)
-                    break
-                try:
-                    frames = decoder.feed(data)
-                except FrameError:
-                    break
-                for tag, payload in frames:
-                    if tag != FRAME_STDIN:
-                        continue
-                    stdin = self.stdin_writer
-                    if stdin is None or stdin.is_closing():
-                        continue  # container gone; swallow late keystrokes
-                    stdin.write(payload)
-                    await stdin.drain()
+            await _feed_stdin(reader, self.stdin_writer)
+            await self._attach_eof(writer)
+        except FrameError:
+            pass
         finally:
             self.sinks.discard(sink)
 
@@ -805,17 +774,26 @@ class Monitor:
         await self._reply(writer, {"ok": True, "pid": handle.container.pid})
 
         stdin_writer = await _open_pipe_writer(asyncio.get_running_loop(), handle.stdin_w)
-        out_task = asyncio.create_task(
-            _pump_fd_to_writer(handle.stdout_r, FRAME_STDOUT, writer)
-        )
-        err_task = asyncio.create_task(
-            _pump_fd_to_writer(handle.stderr_r, FRAME_STDERR, writer)
-        )
-        feed_task = asyncio.create_task(_feed_stdin(reader, stdin_writer))
+
+        async def send(frame: bytes) -> None:
+            if not writer.is_closing():
+                writer.write(frame)
+                await writer.drain()
+
+        async def feed() -> None:
+            with contextlib.suppress(ConnectionError, FrameError):
+                await _feed_stdin(reader, stdin_writer)
+            stdin_writer.close()
+
+        pumps = {
+            asyncio.create_task(_pump(handle.stdout_r, FRAME_STDOUT, send)),
+            asyncio.create_task(_pump(handle.stderr_r, FRAME_STDERR, send)),
+        }
+        feed_task = asyncio.create_task(feed())
 
         status = await status_future
-        await asyncio.wait({out_task, err_task}, timeout=_DRAIN_AFTER_EXIT_S)
-        for task in (out_task, err_task, feed_task):
+        await asyncio.wait(pumps, timeout=_DRAIN_AFTER_EXIT_S)
+        for task in (*pumps, feed_task):
             task.cancel()
         if not stdin_writer.is_closing():
             stdin_writer.close()
@@ -840,7 +818,9 @@ async def _open_pipe_writer(
     return asyncio.StreamWriter(transport, protocol, None, loop)
 
 
-async def _pump_fd_to_writer(fd: int, tag: int, writer: asyncio.StreamWriter) -> None:
+async def _pump(fd: int, tag: int, emit: Callable[[bytes], Awaitable[None]]) -> None:
+    """Hand what a read pipe carries to emit, in frames of tag, until EOF or
+    until emit meets a vanished client."""
     loop = asyncio.get_running_loop()
     reader = asyncio.StreamReader(loop=loop)
     transport, _ = await loop.connect_read_pipe(
@@ -848,13 +828,8 @@ async def _pump_fd_to_writer(fd: int, tag: int, writer: asyncio.StreamWriter) ->
         os.fdopen(fd, "rb", buffering=0),
     )
     try:
-        while True:
-            data = await reader.read(_PUMP_CHUNK)
-            if not data:
-                break
-            if not writer.is_closing():
-                writer.write(encode_frame(tag, data))
-                await writer.drain()
+        while data := await reader.read(_PUMP_CHUNK):
+            await emit(encode_frame(tag, data))
     except ConnectionError:
         pass
     finally:
@@ -868,21 +843,15 @@ async def drain_until_eof(reader: asyncio.StreamReader) -> None:
             pass
 
 
-async def _feed_stdin(
-    reader: asyncio.StreamReader, stdin_writer: asyncio.StreamWriter
-) -> None:
+async def _feed_stdin(reader: asyncio.StreamReader, stdin: asyncio.StreamWriter) -> None:
+    """Write the client's stdin frames into a pipe until the client half-closes.
+
+    A malformed stream raises FrameError, a reset ConnectionError. Keystrokes
+    that arrive after the pipe was closed are dropped.
+    """
     decoder = FrameDecoder()
-    try:
-        while True:
-            data = await reader.read(_PUMP_CHUNK)
-            if not data:
-                break
-            for tag, payload in decoder.feed(data):
-                if tag == FRAME_STDIN and not stdin_writer.is_closing():
-                    stdin_writer.write(payload)
-                    await stdin_writer.drain()
-    except (ConnectionError, FrameError):
-        pass
-    finally:
-        if not stdin_writer.is_closing():
-            stdin_writer.close()
+    while data := await reader.read(_PUMP_CHUNK):
+        for tag, payload in decoder.feed(data):
+            if tag == FRAME_STDIN and not stdin.is_closing():
+                stdin.write(payload)
+                await stdin.drain()

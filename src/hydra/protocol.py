@@ -12,7 +12,7 @@ import json
 import os
 import re
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,8 +37,7 @@ __all__ = [
     "TruncatedStream",
     "StateDirLayout",
     "resolve_layout",
-    "SignalPlan",
-    "default_exit_notify",
+    "EXIT_NOTIFY",
     "FRAME_STDIN",
     "FRAME_STDOUT",
     "FRAME_STDERR",
@@ -175,37 +174,9 @@ def resolve_layout(root: str | Path) -> StateDirLayout:
 # ---------------------------------------------------------------------------
 # Signal assignments
 
-
-def default_exit_notify() -> int:
-    """SIGRTMIN+10 where real-time signals exist, else SIGUSR1."""
-    rtmin = getattr(signal, "SIGRTMIN", None)
-    if rtmin is not None:
-        return int(rtmin) + 10
-    return int(signal.SIGUSR1)
-
-
-@dataclass(frozen=True, slots=True)
-class SignalPlan:
-    """Which signal serves which purpose.
-
-    exit_notify flows monitor -> daemon as a doorbell; the rest flow
-    daemon -> container process group. exit_notify is configurable, the
-    group-bound four are fixed OS conventions.
-    """
-
-    exit_notify: int = field(default_factory=default_exit_notify)
-    stop: int = int(signal.SIGTERM)
-    pause: int = int(signal.SIGSTOP)
-    unpause: int = int(signal.SIGCONT)
-    kill: int = int(signal.SIGKILL)
-
-    def __post_init__(self) -> None:
-        if self.exit_notify <= 0:
-            raise InvalidSpec(f"exit_notify must be a positive signal number")
-        if self.exit_notify in {self.stop, self.pause, self.unpause, self.kill}:
-            raise InvalidSpec(
-                f"exit_notify signal {self.exit_notify} collides with a container-bound signal"
-            )
+# The doorbell a monitor rings at the daemon once its exit file is written.
+# Monitors launched by older revisions ring the daemon with it too.
+EXIT_NOTIFY = int(signal.SIGRTMIN) + 10
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ every component that stores a ProcessIdentity.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import errno as errno_mod
 import os
 import signal
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +38,6 @@ __all__ = [
     "read_stat",
     "read_start_ticks",
     "proc_state",
-    "thread_count",
-    "rss_bytes",
     "namespaces_supported",
     "enter_namespaces_of",
     "set_process_name",
@@ -164,34 +164,6 @@ def is_alive(identity: ProcessIdentity) -> bool:
     return row.start_ticks == identity.start_ticks and row.state not in ("Z", "X")
 
 
-def thread_count(pid: int) -> int | None:
-    """OS thread count from /proc/<pid>/status, or None if gone."""
-    fields = _read_status(pid)
-    value = fields.get("Threads")
-    return int(value) if value is not None else None
-
-
-def rss_bytes(pid: int) -> int | None:
-    """Resident set size in bytes from /proc/<pid>/status, or None if gone."""
-    fields = _read_status(pid)
-    value = fields.get("VmRSS")
-    if value is None:
-        return None
-    return int(value.split()[0]) * 1024  # reported as "<n> kB"
-
-
-def _read_status(pid: int) -> dict[str, str]:
-    try:
-        raw = Path(f"/proc/{pid}/status").read_text()
-    except (FileNotFoundError, ProcessLookupError, PermissionError):
-        return {}
-    fields: dict[str, str] = {}
-    for line in raw.splitlines():
-        key, _, value = line.partition(":")
-        fields[key] = value.strip()
-    return fields
-
-
 # ---------------------------------------------------------------------------
 # Namespaces (optional isolation)
 
@@ -268,58 +240,64 @@ class SandboxHandle:
                 pass
 
 
-def _build_env(spec: ContainerSpec) -> dict[str, str]:
+def _build_env(entries: tuple[str, ...]) -> dict[str, str]:
     env: dict[str, str] = {}
-    for entry in spec.env:
+    for entry in entries:
         key, _, value = entry.partition("=")
         env[key] = value
     env.setdefault("PATH", DEFAULT_PATH)
     return env
 
 
-def spawn(spec: ContainerSpec) -> SandboxHandle:
-    """Start spec's command as a new process-group leader wired to fresh pipes.
+def _start(
+    command: tuple[str, ...],
+    env_entries: tuple[str, ...],
+    working_dir: str | None,
+    place: Callable[[], int | None],
+) -> tuple[ProcessIdentity, int, int, int]:
+    """Fork, let place() put the child where it belongs, and exec command there.
 
-    The caller (the monitor-to-be) becomes the parent. Exec failures are
-    reported synchronously through a close-on-exec error pipe, so a command
-    that cannot start never looks like a container that exited instantly.
+    place runs first in the child. It returns None, or in a process that has
+    forked once more, the pid of that child: the process then drops every
+    pipe end and relays the child's exit as code-or-128+signal. Exec failures
+    are reported synchronously through a close-on-exec error pipe, so a
+    command that cannot start never looks like one that exited at once.
+
+    Returns the identity of the forked process and the caller's ends of its
+    stdin, stdout and stderr.
     """
     stdin_r, stdin_w = os.pipe()
     stdout_r, stdout_w = os.pipe()
     stderr_r, stderr_w = os.pipe()
     err_r, err_w = os.pipe()  # close-on-exec by default: EOF means exec succeeded
-
-    saved_pidns = -1
-    if spec.isolation is Isolation.NAMESPACES:
-        try:
-            saved_pidns = os.open("/proc/self/ns/pid_for_children", os.O_RDONLY)
-            _unshare(CLONE_NEWPID)
-        except (OSError, IsolationUnsupported) as exc:
-            for fd in (stdin_r, stdin_w, stdout_r, stdout_w, stderr_r, stderr_w, err_r, err_w):
-                os.close(fd)
-            if saved_pidns >= 0:
-                os.close(saved_pidns)
-            raise IsolationUnsupported(str(exc)) from None
+    pipe_ends = (stdin_r, stdin_w, stdout_r, stdout_w, stderr_r, stderr_w, err_r, err_w)
 
     pid = os.fork()
     if pid == 0:
-        # Container child: no Python cleanup may run here; only os._exit.
+        # No Python cleanup may run here; only os._exit.
         try:
-            os.setpgid(0, 0)
-            if spec.isolation is Isolation.NAMESPACES:
-                _unshare(CLONE_NEWNS | CLONE_NEWUTS)
+            inner = place()
+            if inner:
+                # Held here, a pipe end would keep the caller's reads from
+                # ending until the command exits.
+                for fd in pipe_ends:
+                    os.close(fd)
+                _, status = os.waitpid(inner, 0)
+                if os.WIFEXITED(status):
+                    os._exit(os.WEXITSTATUS(status))
+                os._exit(128 + os.WTERMSIG(status))
             os.dup2(stdin_r, 0)
             os.dup2(stdout_w, 1)
             os.dup2(stderr_w, 2)
-            for fd in (stdin_r, stdin_w, stdout_r, stdout_w, stderr_r, stderr_w, err_r):
+            for fd in pipe_ends[:-1]:  # err_w stays, for exec to close
                 os.close(fd)
             # CPython ignores these process-wide; exec preserves ignored
-            # dispositions, so restore defaults for the container.
+            # dispositions, so restore defaults for the command.
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
             signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
-            if spec.working_dir:
-                os.chdir(spec.working_dir)
-            os.execvpe(spec.command[0], list(spec.command), _build_env(spec))
+            if working_dir:
+                os.chdir(working_dir)
+            os.execvpe(command[0], list(command), _build_env(env_entries))
         except BaseException as exc:  # noqa: BLE001 - must not unwind into caller's stack
             code = getattr(exc, "errno", None) or 0
             try:
@@ -328,52 +306,69 @@ def spawn(spec: ContainerSpec) -> SandboxHandle:
                 pass
             os._exit(127)
 
-    # Parent (the monitor). Restore our pid namespace for future children;
-    # exec-in-container joins the container's namespaces explicitly instead.
-    if saved_pidns >= 0:
-        try:
-            _setns(saved_pidns)
-        finally:
-            os.close(saved_pidns)
-
     # Capture identity before anything can reap the child: even if the
-    # container already ran and died, the unreaped zombie still has our ticks.
+    # command already ran and died, the unreaped zombie still has our ticks.
     ticks = read_start_ticks(pid)
-    try:
-        os.setpgid(pid, pid)  # parent-side mirror of the child's setpgid (race-proof)
-    except OSError:
-        pass
-
     for fd in (stdin_r, stdout_w, stderr_w, err_w):
         os.close(fd)
 
     failure = bytearray()
-    while True:
-        chunk = os.read(err_r, 4096)
-        if not chunk:
-            break
+    while chunk := os.read(err_r, 4096):
         failure += chunk
     os.close(err_r)
 
     if failure:
-        os.waitpid(pid, 0)  # reap the failed child; no zombie left behind
+        with contextlib.suppress(ChildProcessError):  # a SIGCHLD reaper got it first
+            os.waitpid(pid, 0)  # reap the failed child; no zombie left behind
         for fd in (stdin_w, stdout_r, stderr_r):
             os.close(fd)
         errno_text, _, message = failure.decode("utf-8", "replace").partition("\x00")
         err = int(errno_text) if errno_text.isdigit() else 0
         raise SpawnError(
-            f"cannot start {spec.command[0]!r}: {message or os.strerror(err or errno_mod.ENOENT)}",
+            f"cannot start {command[0]!r}: {message or os.strerror(err or errno_mod.ENOENT)}",
             errno=err,
         )
 
     assert ticks is not None  # child unreaped until here, stat must exist
+    return ProcessIdentity(pid=pid, start_ticks=ticks), stdin_w, stdout_r, stderr_r
+
+
+@contextlib.contextmanager
+def _children_in_new_pid_namespace() -> Iterator[None]:
+    """Children forked inside lead a fresh PID namespace; later ones share ours."""
+    try:
+        saved = os.open("/proc/self/ns/pid_for_children", os.O_RDONLY)
+    except OSError as exc:
+        raise IsolationUnsupported(str(exc)) from None
+    try:
+        _unshare(CLONE_NEWPID)
+        try:
+            yield
+        finally:
+            _setns(saved)
+    finally:
+        os.close(saved)
+
+
+def spawn(spec: ContainerSpec) -> SandboxHandle:
+    """Start spec's command as a new process-group leader wired to fresh pipes.
+
+    The caller (the monitor-to-be) becomes the parent. With namespace
+    isolation the command leads fresh PID, mount and UTS namespaces.
+    """
+    isolate = spec.isolation is Isolation.NAMESPACES
+
+    def place() -> None:
+        os.setpgid(0, 0)
+        if isolate:
+            _unshare(CLONE_NEWNS | CLONE_NEWUTS)
+
+    with _children_in_new_pid_namespace() if isolate else contextlib.nullcontext():
+        container, stdin_w, stdout_r, stderr_r = _start(
+            spec.command, spec.env, spec.working_dir, place
+        )
     return SandboxHandle(
-        container=ProcessIdentity(pid=pid, start_ticks=ticks),
-        pgid=pid,
-        isolation=spec.isolation,
-        stdin_w=stdin_w,
-        stdout_r=stdout_r,
-        stderr_r=stderr_r,
+        container, container.pid, spec.isolation, stdin_w, stdout_r, stderr_r
     )
 
 
@@ -423,83 +418,23 @@ def spawn_exec(
 
     Without namespaces the child joins the container's process group (the
     caller must share its session). With namespaces it joins the container's
-    PID/mount/UTS namespaces via an intermediate fork; the intermediate
-    relays the real process's exit as code-or-128+signal. Safe to call from
-    a process running an event loop; the child resets inherited runtime
-    state before doing anything observable.
+    PID/mount/UTS namespaces via an intermediate fork, which relays the
+    real process's exit. Safe to call from a process running an event loop;
+    the child resets inherited runtime state before doing anything
+    observable.
     """
-    stdin_r, stdin_w = os.pipe()
-    stdout_r, stdout_w = os.pipe()
-    stderr_r, stderr_w = os.pipe()
-    err_r, err_w = os.pipe()
 
-    pid = os.fork()
-    if pid == 0:
-        try:
-            _reset_forked_runtime()
-            if ns_of_pid is not None:
-                enter_namespaces_of(ns_of_pid)
-                inner = os.fork()
-                if inner != 0:  # relay: the pid namespace applies to children only
-                    _, status = os.waitpid(inner, 0)
-                    if os.WIFEXITED(status):
-                        os._exit(os.WEXITSTATUS(status))
-                    os._exit(128 + os.WTERMSIG(status))
-            else:
-                os.setpgid(0, pgid)
-            os.dup2(stdin_r, 0)
-            os.dup2(stdout_w, 1)
-            os.dup2(stderr_w, 2)
-            for fd in (stdin_r, stdin_w, stdout_r, stdout_w, stderr_r, stderr_w, err_r):
-                os.close(fd)
-            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
-            env: dict[str, str] = {}
-            for entry in env_entries:
-                key, _, value = entry.partition("=")
-                env[key] = value
-            env.setdefault("PATH", DEFAULT_PATH)
-            os.execvpe(command[0], list(command), env)
-        except BaseException as exc:  # noqa: BLE001
-            code = getattr(exc, "errno", None) or 0
-            try:
-                os.write(err_w, f"{code}\x00{exc}".encode("utf-8", "replace"))
-            except OSError:
-                pass
-            os._exit(127)
+    def place() -> int | None:
+        _reset_forked_runtime()
+        if ns_of_pid is None:
+            os.setpgid(0, pgid)
+            return None
+        enter_namespaces_of(ns_of_pid)
+        return os.fork()  # the pid namespace applies to children only
 
-    ticks = read_start_ticks(pid)
-    for fd in (stdin_r, stdout_w, stderr_w, err_w):
-        os.close(fd)
-
-    failure = bytearray()
-    while True:
-        chunk = os.read(err_r, 4096)
-        if not chunk:
-            break
-        failure += chunk
-    os.close(err_r)
-
-    if failure:
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:
-            pass  # a concurrent SIGCHLD reaper got it first
-        for fd in (stdin_w, stdout_r, stderr_r):
-            os.close(fd)
-        errno_text, _, message = failure.decode("utf-8", "replace").partition("\x00")
-        err = int(errno_text) if errno_text.isdigit() else 0
-        raise SpawnError(f"cannot exec {command[0]!r}: {message}", errno=err)
-
-    assert ticks is not None
-    return SandboxHandle(
-        container=ProcessIdentity(pid=pid, start_ticks=ticks),
-        pgid=pgid,
-        isolation=Isolation.NAMESPACES if ns_of_pid is not None else Isolation.NONE,
-        stdin_w=stdin_w,
-        stdout_r=stdout_r,
-        stderr_r=stderr_r,
-    )
+    process, stdin_w, stdout_r, stderr_r = _start(command, env_entries, None, place)
+    isolation = Isolation.NONE if ns_of_pid is None else Isolation.NAMESPACES
+    return SandboxHandle(process, pgid, isolation, stdin_w, stdout_r, stderr_r)
 
 
 def signal_group(pgid: int, sig: int) -> bool:

@@ -20,7 +20,8 @@ from typing import Callable, Iterator
 import pytest
 
 import hydra
-from hydra.harness import Engine
+
+from .support import Engine
 
 
 def proc_state(pid: int) -> str | None:

@@ -1,5 +1,6 @@
-"""Shared test helpers: random model-value generators, process hygiene, and
-a daemon hosted on the test's own event loop."""
+"""Shared test helpers: random model-value generators, process hygiene, a
+daemon hosted on the test's own event loop, and a daemon process driven over
+its socket."""
 
 from __future__ import annotations
 
@@ -7,12 +8,18 @@ import asyncio
 import contextlib
 import os
 import random
+import shutil
 import signal
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 from hydra import sandbox
+from hydra.cli import _list_containers
+from hydra.client import DaemonClient, RequestFailed, TransportError
 from hydra.daemon import Daemon, DaemonConfig
-
 from hydra.model import (
     ContainerRecord,
     ContainerSpec,
@@ -24,7 +31,15 @@ from hydra.model import (
     SupervisionMode,
     new_container_id,
 )
-from hydra.protocol import StateDirLayout, decode_message, dump_record, encode_message
+from hydra.protocol import (
+    RecordFormatError,
+    StateDirLayout,
+    decode_message,
+    dump_record,
+    encode_message,
+    load_record,
+    resolve_layout,
+)
 
 WORDS = ["sleep", "cat", "echo", "true", "sh", "env", "tail", "yes"]
 
@@ -171,3 +186,97 @@ async def stop_and_kill(daemon: Daemon, serving: asyncio.Task) -> None:
             if identity is not None and sandbox.is_alive(identity):
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(identity.pid, signal.SIGKILL)
+
+
+# -- a daemon process ------------------------------------------------------------
+
+
+class Engine:
+    """One engine process on a private state dir, driven over its socket."""
+
+    def __init__(self, mode: str, *, state_root: str | Path | None = None):
+        # Keep the root short: the daemon socket path must fit in sun_path.
+        root = state_root or tempfile.mkdtemp(prefix="hyb", dir="/tmp")
+        self.layout: StateDirLayout = resolve_layout(root)
+        self.mode = mode
+        self.client = DaemonClient(self.layout)
+        self.proc: subprocess.Popen[bytes] | None = None
+        self._log_fh = open(self.layout.root / "engine.log", "ab")
+
+    def start(self, *, timeout_s: float = 15.0) -> None:
+        """Start the engine and wait until its startup reboots are done."""
+        self.proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "hydra", "--state-dir", str(self.layout.root),
+                "--mode", self.mode, "daemon", "start", "--foreground",
+            ],
+            stdin=subprocess.DEVNULL,
+            stdout=self._log_fh,
+            stderr=self._log_fh,
+            start_new_session=True,
+        )
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            if self.proc.poll() is not None:
+                raise RuntimeError(
+                    f"engine exited with {self.proc.returncode}; "
+                    f"see {self.layout.root}/engine.log"
+                )
+            with contextlib.suppress(TransportError, RequestFailed):
+                # The socket answers while startup reboots are still in
+                # flight; restore_ms turns non-None once they are done.
+                if self.client.request("status", timeout=2.0)["restore_ms"] is not None:
+                    return
+            time.sleep(0.01)
+        raise RuntimeError(f"engine not ready within {timeout_s}s")
+
+    def kill(self) -> None:
+        """SIGKILL, as a crash would."""
+        assert self.proc is not None
+        with contextlib.suppress(ProcessLookupError):
+            self.proc.kill()
+        self.proc.wait()
+        self.proc = None
+
+    def stop(self, *, timeout_s: float = 10.0) -> None:
+        """Graceful stop through the shutdown op."""
+        assert self.proc is not None
+        with contextlib.suppress(TransportError, RequestFailed):
+            self.client.request("shutdown", timeout=5.0)
+        try:
+            self.proc.wait(timeout=timeout_s)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc = None
+
+    def status(self) -> dict:
+        return self.client.request("status", timeout=10.0)
+
+    def ps(self) -> list[dict]:
+        """Every container, paged as the CLI pages them."""
+        return _list_containers(self.client)["containers"]
+
+    def run(self, command: list[str], *, container_id: str | None = None) -> dict:
+        fields: dict = {"spec": {"command": command}}
+        if container_id is not None:
+            fields["id"] = container_id
+        return self.client.request("run", timeout=30.0, **fields)
+
+    def cleanup(self) -> None:
+        """Stop the engine, kill every process its records name, drop the state dir.
+
+        The records are read from disk after the stop: a graceful stop lets
+        launches in flight land first, so their processes are named too.
+        """
+        if self.proc is not None:
+            self.stop()
+        for entry in self.layout.containers_dir.glob("*/record.json"):
+            with contextlib.suppress(RecordFormatError, OSError):
+                record = load_record(entry)
+                for identity in (record.container, record.monitor):
+                    if identity is not None and sandbox.is_alive(identity):
+                        killpg_silently(identity.pid)
+                        kill_silently(identity.pid)
+        self._log_fh.close()
+        shutil.rmtree(self.layout.root, ignore_errors=True)

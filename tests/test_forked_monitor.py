@@ -20,13 +20,12 @@ import pytest
 from hydra import sandbox
 from hydra.client import TransportError
 from hydra.daemon import ApiError
-from hydra.harness import Engine
 from hydra.model import StateKind
 from hydra.monitor import MONITOR_COMM_PREFIX, Monitor
 from hydra.protocol import encode_message, load_record, resolve_layout
 
 from .conftest import pid_alive, wait_for
-from .support import host, request, stop_and_kill, until
+from .support import Engine, host, request, stop_and_kill, until
 
 
 def fd_links(pid: int) -> list[str]:

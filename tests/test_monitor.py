@@ -14,6 +14,7 @@ from hydra.client import (
     read_log_frames,
 )
 from hydra.protocol import FRAME_EXIT_NOTICE, FRAME_STDERR, FRAME_STDOUT
+from hydra.sandbox import namespaces_supported
 
 from .conftest import pid_alive, wait_for
 
@@ -212,6 +213,41 @@ def test_exec_rejected_once_exited(engine):
     with pytest.raises(RequestFailed) as info:
         engine.client.request("exec", id=reply["id"])
     assert info.value.code == "not_running"
+
+
+@pytest.mark.skipif(not namespaces_supported(), reason="host denies namespace creation")
+def test_exec_into_isolated_container_leaves_the_monitor_serving(engine):
+    """The namespace relay that exec forks holds no pipe end, so the monitor
+    serves on while an exec runs and an exec's output flows past the pipe
+    buffer."""
+    reply = engine.client.request(
+        "run", timeout=30.0, spec={"command": ["sleep", "60"], "isolation": "namespaces"}
+    )
+    sock = reply["monitor_sock"]
+    frames: list[tuple[int, bytes]] = []
+
+    def run_exec() -> None:
+        with MonitorStream(sock, {"op": "exec", "command": ["sleep", "2"]}, timeout=10.0) as stream:
+            frames.extend(collect_until_exit(stream))
+
+    worker = threading.Thread(target=run_exec)
+    worker.start()
+    time.sleep(0.3)  # the exec is under way
+    t0 = time.monotonic()
+    with MonitorStream(sock, {"op": "ping"}, timeout=10.0) as ping:
+        assert ping.reply["ok"]
+    ping_s = time.monotonic() - t0
+    worker.join(timeout=20.0)
+    assert not worker.is_alive()
+    assert exit_code_from_notice(exit_payload(frames)) == 0
+    assert ping_s < 1.0, f"ping took {ping_s:.2f}s during an exec"
+
+    with MonitorStream(
+        sock, {"op": "exec", "command": ["head", "-c", "300000", "/dev/zero"]}, timeout=10.0
+    ) as stream:
+        frames = collect_until_exit(stream)
+    assert stream_bytes(frames, FRAME_STDOUT) == bytes(300000)
+    assert exit_code_from_notice(exit_payload(frames)) == 0
 
 
 def test_fast_exit_output_lands_in_log(engine):

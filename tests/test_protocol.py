@@ -15,6 +15,7 @@ import pytest
 
 from hydra.model import ContainerState, ExitReport, InvalidSpec, ProcessIdentity, StateKind
 from hydra.protocol import (
+    EXIT_NOTIFY,
     BadTag,
     ExitFormatError,
     FrameDecoder,
@@ -23,13 +24,11 @@ from hydra.protocol import (
     MessageFormatError,
     PidFileError,
     RecordFormatError,
-    SignalPlan,
     TruncatedStream,
     decode_exit_line,
     decode_frames,
     decode_message,
     decode_pid_line,
-    default_exit_notify,
     dump_record,
     encode_exit_report,
     encode_frame,
@@ -250,35 +249,10 @@ class TestPidLine:
             decode_pid_line(line)
 
 
-class TestSignalPlan:
-    def test_default_exit_notify_is_rtmin_plus_10(self):
-        rtmin = getattr(signal, "SIGRTMIN", None)
-        expected = int(rtmin) + 10 if rtmin is not None else int(signal.SIGUSR1)
-        assert default_exit_notify() == expected
-        assert SignalPlan().exit_notify == expected
-
-    def test_container_bound_signals(self):
-        plan = SignalPlan()
-        assert plan.stop == signal.SIGTERM
-        assert plan.pause == signal.SIGSTOP
-        assert plan.unpause == signal.SIGCONT
-        assert plan.kill == signal.SIGKILL
-
-    def test_disjointness_over_all_candidates(self):
-        """Every constructible plan keeps exit_notify off the container set."""
-        container_bound = {
-            int(signal.SIGTERM),
-            int(signal.SIGSTOP),
-            int(signal.SIGCONT),
-            int(signal.SIGKILL),
-        }
-        for candidate in range(1, 65):
-            if candidate in container_bound:
-                with pytest.raises(InvalidSpec):
-                    SignalPlan(exit_notify=candidate)
-            else:
-                plan = SignalPlan(exit_notify=candidate)
-                assert plan.exit_notify not in container_bound
+def test_exit_notify_is_rtmin_plus_10():
+    """Monitors of older revisions ring the daemon with this very signal."""
+    assert EXIT_NOTIFY == signal.SIGRTMIN + 10
+    assert EXIT_NOTIFY not in (signal.SIGTERM, signal.SIGSTOP, signal.SIGCONT, signal.SIGKILL)
 
 
 class TestSettledIndex:
