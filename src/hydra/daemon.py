@@ -22,7 +22,10 @@ deliberately breaks this with one waiter thread per container to emulate
 the classic engines it stands in for). Each live container also holds one
 pidfd on the loop, for its monitor: a monitor writes its exit file before
 it exits, so the pidfd event is a second doorbell for every exit and the
-first news of a monitor that died without one.
+first news of a monitor that died without one. The daemon's own children
+(the restore scan, a launch's first fork, which in lazy and coupled modes
+is the monitor) are each reaped through a pidfd of their own, opened right
+after the fork; no SIGCHLD handler runs.
 """
 
 from __future__ import annotations
@@ -58,11 +61,11 @@ from .model import (
     now_ms,
 )
 from .monitor import (
-    ChildReaper,
     LaunchHandle,
     drain_until_eof,
     fork_monitor,
     read_spawn_failure,
+    reap,
 )
 from .protocol import (
     EXIT_NOTIFY,
@@ -139,7 +142,6 @@ class Daemon:
         self.records: dict[str, ContainerRecord] = {}
         self.settled_count = 0
         self._index_fd: int | None = None
-        self.reaper = ChildReaper()
         self.restore_ms: float | None = None
         self.serving_since_ms: int | None = None
         self._lock_fd: int | None = None
@@ -171,6 +173,10 @@ class Daemon:
         loop_tasks: list[asyncio.Task] = []
 
         restore_t0 = time.perf_counter()
+        # Each child is reaped through its own pidfd. An ignored SIGCHLD,
+        # inherited from whoever started this process, would have the
+        # kernel reap them first and leave nothing to wait for.
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
         self._acquire_lock()
         try:
             reboots, rearm_grace = self._reconcile()
@@ -178,7 +184,6 @@ class Daemon:
             # Handlers go in before the pid file is (re)written: a monitor
             # that reads the fresh pid must never signal a handlerless
             # process (an unhandled real-time signal is fatal).
-            self.reaper.install(loop)
             loop.add_signal_handler(EXIT_NOTIFY, self._exit_wake.set)
             loop.add_signal_handler(signal.SIGTERM, self._shutdown.set)
             loop.add_signal_handler(signal.SIGINT, self._shutdown.set)
@@ -262,12 +267,7 @@ class Daemon:
             task.cancel()
         if doomed:
             await asyncio.gather(*doomed, return_exceptions=True)
-        for sig in (
-            EXIT_NOTIFY,
-            signal.SIGTERM,
-            signal.SIGINT,
-            signal.SIGCHLD,
-        ):
+        for sig in (EXIT_NOTIFY, signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(ValueError, RuntimeError):
                 loop.remove_signal_handler(sig)
         if server is not None:
@@ -387,9 +387,9 @@ class Daemon:
                 log.exception("state dir scan failed")
             finally:
                 os._exit(0)
+        reap(pid)  # off the restart path, once the loop runs
         os.close(wfd)
-        # Read to EOF, which comes once the child has written; its exit is
-        # not waited for: the reaper collects it once the daemon serves.
+        # Read to EOF, which comes once the child has written.
         with open(rfd, "rb") as pipe:
             data = pipe.read()
         try:
@@ -744,7 +744,9 @@ class Daemon:
             handle = fork_monitor(
                 record.id, self.layout, self.config.mode, record.spec, launch_token=token
             )
-            forked = self.reaper.watch(handle.child_pid)
+            # Reaps the direct child whenever it dies, after this returns
+            # too: P1 in decoupled mode, the monitor itself otherwise.
+            forked = reap(handle.child_pid)
             done, _ = await asyncio.wait(
                 {launched, forked},
                 timeout=_HANDSHAKE_TIMEOUT_MS / 1000.0,
@@ -780,7 +782,6 @@ class Daemon:
             if not self._pending_launch:
                 self._no_launch_pending.set()
             if handle is not None:
-                self.reaper.unwatch(handle.child_pid)
                 handle.close()
 
     def _start_coupled_waiter(self, container_id: str) -> None:

@@ -68,7 +68,7 @@ __all__ = [
     "fork_monitor",
     "read_spawn_failure",
     "drain_until_eof",
-    "ChildReaper",
+    "reap",
 ]
 
 MAX_MONITOR_CONNECTIONS = 16
@@ -285,54 +285,27 @@ def read_spawn_failure(err_fd: int) -> str | None:
 # Child reaping (shared by monitor and daemon event loops)
 
 
-class ChildReaper:
-    """SIGCHLD-driven reaper that hands wait statuses to interested futures.
+def reap(pid: int) -> asyncio.Future[int]:
+    """A future for the wait status of pid, a child of this process.
 
-    The signal handler (run on the loop, not in signal context) reaps every
-    available child; statuses nobody has claimed yet are kept so a watcher
-    registering after the death still gets its answer.
+    A child cannot be reaped before someone waits for it, so until then its
+    pid names it, dead or alive: call this right after the fork, before any
+    other wait. The reap runs to completion even if the future is
+    cancelled, so it leaves neither a zombie nor its pidfd behind.
     """
+    loop = asyncio.get_running_loop()
+    status: asyncio.Future[int] = loop.create_future()
+    fd = os.pidfd_open(pid)
 
-    _MAX_UNCLAIMED = 4096
+    def reaped() -> None:
+        loop.remove_reader(fd)
+        os.close(fd)
+        _, code = os.waitpid(pid, 0)
+        if not status.done():
+            status.set_result(code)
 
-    def __init__(self) -> None:
-        self._futures: dict[int, asyncio.Future[int]] = {}
-        self._unclaimed: collections.OrderedDict[int, int] = collections.OrderedDict()
-
-    def install(self, loop: asyncio.AbstractEventLoop) -> None:
-        loop.add_signal_handler(signal.SIGCHLD, self.reap)
-        # A child that died before the handler existed (a fast container can
-        # beat this loop's startup) will never signal again; sweep for it.
-        self.reap()
-
-    def reap(self) -> None:
-        while True:
-            try:
-                pid, status = os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                return
-            if pid == 0:
-                return
-            future = self._futures.pop(pid, None)
-            if future is not None and not future.done():
-                future.set_result(status)
-            else:
-                self._unclaimed[pid] = status
-                while len(self._unclaimed) > self._MAX_UNCLAIMED:
-                    self._unclaimed.popitem(last=False)
-
-    def watch(self, pid: int) -> asyncio.Future[int]:
-        """A future resolving to pid's wait status (possibly already known)."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[int] = loop.create_future()
-        if pid in self._unclaimed:
-            future.set_result(self._unclaimed.pop(pid))
-        else:
-            self._futures[pid] = future
-        return future
-
-    def unwatch(self, pid: int) -> None:
-        self._futures.pop(pid, None)
+    loop.add_reader(fd, reaped)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +342,11 @@ class Monitor:
         self.boot = boot
         self.layout = resolve_layout(boot.state_root)
         self.layout.container_dir(boot.container_id).mkdir(mode=0o700, exist_ok=True)
-        self.reaper = ChildReaper()
         self.sinks: set[_Sink] = set()
         self.wait_futures: list[asyncio.Future[ExitReport]] = []
         self.exit_report: ExitReport | None = None
-        self.exited = asyncio.Event()
+        # Set once the exit notice went out: the end of every live stream.
+        self.notice_sent = asyncio.Event()
         self.connections = 0
         self.conn_tasks: set[asyncio.Task] = set()
         self.log_fh = open(self.layout.log_path(boot.container_id), "ab")
@@ -386,9 +359,8 @@ class Monitor:
         boot = self.boot
         # Before anything can serve an attach or reap the container.
         self.stdin_writer = await _open_pipe_writer(loop, boot.stdin_fd)
-        self.reaper.install(loop)
-        container_status = self.reaper.watch(boot.container.pid)
-        container_status.add_done_callback(self._container_reaped)
+        reaped = reap(boot.container.pid)
+        reaped.add_done_callback(self._container_reaped)
 
         # Serve before the handshake: the daemon's run reply names this
         # socket, so it must accept by the time any client can learn of it.
@@ -413,7 +385,7 @@ class Monitor:
                 os.kill(boot.parent_to_kill, signal.SIGTERM)
         sandbox.release_free_heap()  # off the launch path: after the handshake
 
-        await self.exited.wait()
+        await reaped  # after _container_reaped, which was added first
         report = self.exit_report
         assert report is not None
 
@@ -458,7 +430,6 @@ class Monitor:
         self.exit_report = sandbox.report_from_status(self.boot.container_id, status)
         if self.stdin_writer is not None and not self.stdin_writer.is_closing():
             self.stdin_writer.close()
-        self.exited.set()
 
     async def _handshake(self) -> None:
         """Tell the daemon both identities; harmless to fail (daemon may be gone)."""
@@ -532,6 +503,7 @@ class Monitor:
             if sink.backlog is None and not sink.writer.is_closing():
                 sink.writer.close()
         self.sinks.clear()
+        self.notice_sent.set()
 
     async def _capture(self, frame: bytes) -> None:
         """Container output: into the log, then to every streaming client."""
@@ -636,7 +608,7 @@ class Monitor:
             return
         await self._reply(writer, {"ok": True})
         sink: _Sink | None = None
-        if self.exit_report is None:
+        if not self.notice_sent.is_set():
             # Buffer live frames during a replay; add + snapshot happen in
             # one loop step so nothing is lost or duplicated at the seam.
             sink = _Sink(writer, buffering=replay)
@@ -650,8 +622,8 @@ class Monitor:
                 writer.write(_exit_notice(self.exit_report))
                 return
             sink.release_backlog()
-            if self.exit_report is not None:
-                return  # exit landed mid-replay; the notice left via backlog
+            if self.notice_sent.is_set():
+                return  # the notice landed mid-replay and left via backlog
         assert sink is not None and self.stdin_writer is not None
         try:
             await _feed_stdin(reader, self.stdin_writer)
@@ -666,7 +638,8 @@ class Monitor:
 
         Close the container's stdin so pipe readers see EOF, but keep the
         sink registered and stay on the connection until the exit notice has
-        gone out (the broadcast closes the writer). A client that vanished
+        gone out (the broadcast closes the writer): not at the container's
+        exit, but once its last output has drained. A client that vanished
         outright instead of half-closing is caught by wait_closed once any
         write to it fails; a silent container can keep this handler parked
         until exit, which costs one connection slot and nothing else.
@@ -674,14 +647,14 @@ class Monitor:
         stdin = self.stdin_writer
         if stdin is not None and not stdin.is_closing():
             stdin.close()
-        exited_task = asyncio.create_task(self.exited.wait())
+        notice_task = asyncio.create_task(self.notice_sent.wait())
         closed_task = asyncio.create_task(writer.wait_closed())
         try:
             await asyncio.wait(
-                {exited_task, closed_task}, return_when=asyncio.FIRST_COMPLETED
+                {notice_task, closed_task}, return_when=asyncio.FIRST_COMPLETED
             )
         finally:
-            exited_task.cancel()
+            notice_task.cancel()
             closed_task.cancel()
 
     async def _op_logs(
@@ -693,7 +666,7 @@ class Monitor:
     ) -> None:
         await self._reply(writer, {"ok": True})
         sink: _Sink | None = None
-        if follow and self.exit_report is None:
+        if follow and not self.notice_sent.is_set():
             sink = _Sink(writer, buffering=True)
             self.sinks.add(sink)
         if not await self._replay_snapshot(writer):
@@ -701,20 +674,20 @@ class Monitor:
                 self.sinks.discard(sink)
             return
         if sink is None:
-            if self.exit_report is not None and follow:
+            if follow:  # the notice has gone out already
                 writer.write(_exit_notice(self.exit_report))
             return
         sink.release_backlog()
-        # Live now; hold the connection until container exit (the backlog or
-        # broadcast delivers the exit notice) or the client hangs up.
-        exited_task = asyncio.create_task(self.exited.wait())
+        # Live now; hold the connection until the exit notice has gone out
+        # (through the backlog or the broadcast) or the client hangs up.
+        notice_task = asyncio.create_task(self.notice_sent.wait())
         hangup_task = asyncio.create_task(drain_until_eof(reader))
         try:
             await asyncio.wait(
-                {exited_task, hangup_task}, return_when=asyncio.FIRST_COMPLETED
+                {notice_task, hangup_task}, return_when=asyncio.FIRST_COMPLETED
             )
         finally:
-            exited_task.cancel()
+            notice_task.cancel()
             hangup_task.cancel()
             self.sinks.discard(sink)
 
@@ -770,7 +743,7 @@ class Monitor:
         except (sandbox.SpawnError, sandbox.IsolationUnsupported) as exc:
             await self._reply(writer, {"ok": False, "error": str(exc)})
             return
-        status_future = self.reaper.watch(handle.container.pid)
+        status_future = reap(handle.container.pid)
         await self._reply(writer, {"ok": True, "pid": handle.container.pid})
 
         stdin_writer = await _open_pipe_writer(asyncio.get_running_loop(), handle.stdin_w)

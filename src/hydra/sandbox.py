@@ -318,8 +318,7 @@ def _start(
     os.close(err_r)
 
     if failure:
-        with contextlib.suppress(ChildProcessError):  # a SIGCHLD reaper got it first
-            os.waitpid(pid, 0)  # reap the failed child; no zombie left behind
+        os.waitpid(pid, 0)  # reap the failed child; no zombie left behind
         for fd in (stdin_w, stdout_r, stderr_r):
             os.close(fd)
         errno_text, _, message = failure.decode("utf-8", "replace").partition("\x00")

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from hydra import sandbox
@@ -194,11 +195,18 @@ async def stop_and_kill(daemon: Daemon, serving: asyncio.Task) -> None:
 class Engine:
     """One engine process on a private state dir, driven over its socket."""
 
-    def __init__(self, mode: str, *, state_root: str | Path | None = None):
+    def __init__(
+        self,
+        mode: str,
+        *,
+        state_root: str | Path | None = None,
+        preexec_fn: Callable[[], None] | None = None,
+    ):
         # Keep the root short: the daemon socket path must fit in sun_path.
         root = state_root or tempfile.mkdtemp(prefix="hyb", dir="/tmp")
         self.layout: StateDirLayout = resolve_layout(root)
         self.mode = mode
+        self.preexec_fn = preexec_fn  # runs in the engine process before exec
         self.client = DaemonClient(self.layout)
         self.proc: subprocess.Popen[bytes] | None = None
         self._log_fh = open(self.layout.root / "engine.log", "ab")
@@ -214,6 +222,7 @@ class Engine:
             stdout=self._log_fh,
             stderr=self._log_fh,
             start_new_session=True,
+            preexec_fn=self.preexec_fn,
         )
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:

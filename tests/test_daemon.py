@@ -14,7 +14,7 @@ from hydra.client import RequestFailed
 from hydra.model import ExitReport, now_ms
 from hydra.protocol import MAX_MESSAGE_BYTES, write_exit_report
 
-from .conftest import kill_group_silently, pid_alive, proc_state, wait_for
+from .conftest import kill_group_silently, pid_alive, proc_state, run_cli, wait_for
 
 
 def one_row(engine, container_id: str) -> dict:
@@ -476,7 +476,52 @@ def test_exit_file_settles_on_monitor_death_without_doorbell(engine):
     assert done["restart_count"] == 0
 
 
-def test_daemon_fds_return_to_baseline(engine):
+def zombie_children(pid: int) -> list[int]:
+    """The children of pid's main thread that have died unreaped."""
+    return [child for child in children(pid) if proc_state(child) == "Z"]
+
+
+def children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
+def test_lazy_daemon_reaps_its_monitors(make_engine):
+    engine = make_engine("lazy")
+    daemon = engine.proc.pid
+    # Ended by rm.
+    reply = engine.run(["true"])
+    assert reply["monitor_pid"] in children(daemon)
+    engine.client.request("wait", id=reply["id"], timeout=15.0)
+    engine.client.request("rm", id=reply["id"])
+    assert wait_for(lambda: reply["monitor_pid"] not in children(daemon), timeout_s=2.0)
+    # Ended by its own grace running out.
+    reply = engine.run(["true"])
+    engine.client.request("wait", id=reply["id"], timeout=15.0)
+    assert wait_for(lambda: not pid_alive(reply["monitor_pid"]), timeout_s=10.0)
+    assert wait_for(lambda: not zombie_children(daemon), timeout_s=2.0)
+    assert reply["monitor_pid"] not in children(daemon)
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "lazy"])
+def test_engine_started_with_sigchld_ignored_works(make_engine, mode):
+    # An ignored SIGCHLD survives exec: the kernel would reap every child.
+    engine = make_engine(
+        mode, preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    )
+    state_dir = str(engine.layout.root)
+    assert run_cli("run", "--", "sh", "-c", "exit 3", state_dir=state_dir).returncode == 3
+    reply = engine.run(["sleep", "600"])
+    execed = run_cli(
+        "exec", reply["id"], "--", "sh", "-c", "exit 7", state_dir=state_dir
+    )
+    assert execed.returncode == 7
+    engine.client.request("stop", id=reply["id"])
+    done = engine.client.request("wait", id=reply["id"], timeout=15.0)
+    assert done["term_signal"] == signal.SIGTERM
+
+
+def _fds_return_to_baseline(engine, per_container: int) -> None:
     def open_fds() -> int:
         return len(os.listdir(f"/proc/{engine.proc.pid}/fd"))
 
@@ -494,7 +539,7 @@ def test_daemon_fds_return_to_baseline(engine):
     baseline = steady_fds()
     for _ in range(10):
         reply = engine.run(["sleep", "60"])
-        assert wait_for(lambda: open_fds() == baseline + 1)  # one pidfd per live container
+        assert wait_for(lambda: open_fds() == baseline + per_container)
         engine.client.request("stop", id=reply["id"])
         engine.client.request("wait", id=reply["id"], timeout=15.0)
         engine.client.request("rm", id=reply["id"])
@@ -506,3 +551,12 @@ def test_daemon_fds_return_to_baseline(engine):
     engine.client.request("wait", id=reply["id"], timeout=15.0)
     engine.client.request("rm", id=reply["id"])
     assert wait_for(lambda: open_fds() == baseline), (open_fds(), baseline)
+
+
+def test_daemon_fds_return_to_baseline(engine):
+    _fds_return_to_baseline(engine, 1)  # the supervision watch on the monitor
+
+
+def test_lazy_daemon_fds_return_to_baseline(make_engine):
+    # The monitor is the daemon's child: a reap watch besides the supervision one.
+    _fds_return_to_baseline(make_engine("lazy"), 2)

@@ -40,6 +40,18 @@ def sockets(pid: int) -> set[str]:
     return {link for link in fd_links(pid) if link.startswith("socket:")}
 
 
+def pidfd_targets(pid: int) -> list[int]:
+    """The pid each pidfd that pid holds names, from its fdinfo."""
+    targets = []
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        with contextlib.suppress(OSError):
+            if os.readlink(f"/proc/{pid}/fd/{name}") == "anon_inode:[pidfd]":
+                with open(f"/proc/{pid}/fdinfo/{name}") as fh:
+                    (line,) = [l for l in fh if l.startswith("Pid:")]
+                targets.append(int(line.split()[1]))
+    return targets
+
+
 # -- against a daemon process -------------------------------------------------
 
 
@@ -49,10 +61,32 @@ def test_monitor_holds_none_of_the_daemons_fds(make_engine, mode):
     engine.run(["sleep", "600"])  # the daemon now holds a pidfd on its monitor
     reply = engine.run(["sleep", "600"])
     links = fd_links(reply["monitor_pid"])
-    assert "anon_inode:[pidfd]" not in links
+    # Its one pidfd is its own, for reaping its container.
+    assert pidfd_targets(reply["monitor_pid"]) == [reply["pid"]]
     assert links.count("anon_inode:[eventpoll]") == 1  # its own event loop's
     assert str(engine.layout.lock_file) not in links
     assert not sockets(reply["monitor_pid"]) & sockets(engine.proc.pid)
+
+
+def handles_sigchld(pid: int) -> bool:
+    """Whether pid catches or ignores SIGCHLD, by its /proc status masks."""
+    with open(f"/proc/{pid}/status") as fh:
+        masks = [
+            int(line.split()[1], 16)
+            for line in fh
+            if line.startswith(("SigCgt:", "SigIgn:"))
+        ]
+    assert len(masks) == 2
+    return any(mask >> (signal.SIGCHLD - 1) & 1 for mask in masks)
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "lazy"])
+def test_no_engine_process_handles_sigchld(make_engine, mode):
+    # Children are waited for one pidfd each; nothing reaps by signal.
+    engine = make_engine(mode)
+    reply = engine.run(["sleep", "600"])
+    assert not handles_sigchld(engine.proc.pid)
+    assert not handles_sigchld(reply["monitor_pid"])
 
 
 @pytest.mark.parametrize("mode", ["decoupled", "lazy"])

@@ -124,6 +124,29 @@ def test_logs_follow_streams_snapshot_then_live(engine):
     assert exit_code_from_notice(exit_payload(frames)) == 4
 
 
+def test_logs_follow_gets_the_notice_while_output_drains(engine):
+    # The background sleep holds stdout open past the exit, so the notice
+    # goes out only once the drain after exit has timed out.
+    reply = engine.run(["sh", "-c", "echo one; sleep 3 & sleep 0.4; echo two; exit 4"])
+    assert wait_for(lambda: log_contains(engine, reply["id"], b"one\n"))
+    with MonitorStream(
+        reply["monitor_sock"], {"op": "logs", "follow": True}
+    ) as stream:
+        frames = collect_until_exit(stream)
+    assert stream_bytes(frames, FRAME_STDOUT) == b"one\ntwo\n"
+    assert exit_code_from_notice(exit_payload(frames)) == 4
+
+
+def test_half_closed_attach_gets_the_notice_while_output_drains(engine):
+    reply = engine.run(["sh", "-c", "read x; sleep 3 & sleep 0.3; echo two; exit 4"])
+    with MonitorStream(reply["monitor_sock"], {"op": "attach"}) as stream:
+        stream.send_stdin(b"go\n")
+        stream.close_write()
+        frames = collect_until_exit(stream)
+    assert stream_bytes(frames, FRAME_STDOUT) == b"two\n"
+    assert exit_code_from_notice(exit_payload(frames)) == 4
+
+
 def test_wait_reports_exit_code(engine):
     reply = engine.run(["sh", "-c", "sleep 0.3; exit 5"])
     with MonitorStream(
