@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import contextlib
+import enum
 import fcntl
 import logging
 import os
@@ -43,7 +44,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import sandbox
 from .model import (
@@ -132,6 +133,92 @@ class ApiError(HydraError):
         self.exit_code = exit_code
 
 
+# -- the supervision decision ---------------------------------------------------
+
+ExitFact = enum.Enum("ExitFact", "ABSENT CODE SIGNAL CORRUPT")  # CORRUPT: or another id's
+Proc = enum.Enum("Proc", "NONE RUNNING STOPPED DEAD")  # NONE: no identity; STOPPED: state T
+_ALIVE = (Proc.RUNNING, Proc.STOPPED)
+
+
+class Step(str, enum.Enum):
+    SETTLE = "settle"  # Exited with the exit file's status
+    QUARANTINE = "quarantine"  # set the corrupt exit file aside
+    LOSE = "lose"
+    SETTLE_UNKNOWN = "settle_unknown"  # kill what lives; Exited(SIGKILL), exit_unknown
+    REBOOT = "reboot"  # kill what lives; Running with no identities, relaunched
+    MARK_RUNNING = "mark_running"
+    MARK_PAUSED = "mark_paused"
+    REARM_GRACE = "rearm_grace"  # the stop's kill timer, lost with the last daemon
+    WATCH_MONITOR = "watch_monitor"  # whose death decides again
+    WATCH_CONTAINER = "watch_container"
+    AWAIT_HANDSHAKE = "await_handshake"  # adopted if it lands in time, else decided again
+
+
+class Facts(NamedTuple):
+    kind: StateKind  # never Exited: settled records leave the registry
+    exit: ExitFact
+    monitor: Proc
+    container: Proc
+    coupled: bool
+    restart: bool  # the spec's restart_on_monitor_loss
+    at_start: bool  # reconcile, rather than a watch or a handshake
+
+
+def decide(facts: Facts) -> tuple[Step, ...]:
+    """What to do with a record, in order: every fate decision for a record
+    in the registry is made here, from facts the daemon gathers from the
+    exit file and /proc, and the daemon only applies the steps.
+
+    The exit file is the truth. A decoupled or lazy start adopts every live
+    container and loses none, and deciding again after the steps changes
+    nothing. A coupled start kills whatever ran and reboots what was not
+    stopping, the baseline that mode emulates."""
+    kind = facts.kind
+    if facts.exit is ExitFact.CORRUPT:
+        if kind in (StateKind.CREATED, StateKind.RUNNING):
+            return (Step.QUARANTINE, Step.LOSE)  # no truth to settle with
+        return (Step.QUARANTINE, *decide(facts._replace(exit=ExitFact.ABSENT)))
+    if facts.exit is not ExitFact.ABSENT:
+        # A code exit of a Paused record proves its group was resumed out
+        # of band and ran to completion; it takes the legal path.
+        if kind is StateKind.PAUSED and facts.exit is ExitFact.CODE:
+            return (Step.MARK_RUNNING, Step.SETTLE)
+        return (Step.SETTLE,)
+    if kind is StateKind.LOST:
+        return ()
+    if kind is StateKind.CREATED:
+        # Its launch's handshake never landed; a monitor whose launching
+        # daemon died first keeps retrying it.
+        return (Step.AWAIT_HANDSHAKE,) if facts.at_start and not facts.coupled else (Step.LOSE,)
+    if facts.coupled and facts.at_start:
+        return (Step.SETTLE_UNKNOWN if kind is StateKind.STOPPING else Step.REBOOT,)
+    grace = (Step.REARM_GRACE,) if kind is StateKind.STOPPING and facts.at_start else ()
+    if facts.monitor in _ALIVE:
+        # Adopted: the record follows its group's /proc state, and the
+        # monitor's exit file will settle it.
+        if kind is StateKind.RUNNING and facts.container is Proc.STOPPED:
+            return (Step.MARK_PAUSED, Step.WATCH_MONITOR)
+        if kind is StateKind.PAUSED and facts.container is Proc.RUNNING:
+            return (Step.MARK_RUNNING, Step.WATCH_MONITOR)
+        return (*grace, Step.WATCH_MONITOR)
+    # The monitor is gone without an exit file.
+    if facts.container not in _ALIVE:
+        return (Step.SETTLE_UNKNOWN,)
+    if kind is StateKind.RUNNING:
+        return (Step.REBOOT if facts.restart else Step.SETTLE_UNKNOWN,)
+    # Stopping: the grace timer owns the group's fate. Paused: the commit of
+    # an unpause decides again. Until then the group's death settles it.
+    return (*grace, Step.WATCH_CONTAINER)
+
+
+def _probe(identity: ProcessIdentity | None) -> Proc:
+    if identity is None:
+        return Proc.NONE
+    if not sandbox.is_alive(identity):
+        return Proc.DEAD
+    return Proc.STOPPED if sandbox.proc_state(identity.pid) == "T" else Proc.RUNNING
+
+
 class Daemon:
     def __init__(self, config: DaemonConfig):
         self.config = config
@@ -179,7 +266,9 @@ class Daemon:
         signal.signal(signal.SIGCHLD, signal.SIG_DFL)
         self._acquire_lock()
         try:
-            reboots, rearm_grace = self._reconcile()
+            # Reconcile. A copy: settling a record takes it out of self.records.
+            self._restore_registry()
+            reboots = [r for r in list(self.records.values()) if self._supervise(r, at_start=True)]
 
             # Handlers go in before the pid file is (re)written: a monitor
             # that reads the fresh pid must never signal a handlerless
@@ -202,9 +291,6 @@ class Daemon:
                 await self._relaunch(record)
             self.restore_ms = (time.perf_counter() - restore_t0) * 1000.0
 
-            for record in rearm_grace:
-                self._arm_grace_timer(record.id, record.spec.stop_grace_ms)
-
             loop_tasks.append(asyncio.create_task(self._ingest_loop()))
             self.serving_since_ms = now_ms()
             log.info(
@@ -222,7 +308,11 @@ class Daemon:
             log.info("shutting down")
             await self._land_launches()
             if self.config.mode is SupervisionMode.COUPLED:
-                self._abort_all_containers()
+                # Containers die with the daemon. Records stay as they are on
+                # disk, so the next start sees them running and reboots them.
+                for record in self.records.values():
+                    if record.state.kind in _LIVE_KINDS:
+                        self._kill_supervision(record)
         finally:
             try:
                 await self._teardown(loop, server, loop_tasks)
@@ -305,41 +395,6 @@ class Daemon:
             self._lock_fd = None
 
     # -- reconciliation ---------------------------------------------------------
-
-    def _reconcile(self) -> tuple[list[ContainerRecord], list[ContainerRecord]]:
-        """Rebuild the registry from disk; returns (reboot list, re-arm list).
-
-        Idempotent for lazy/decoupled: a second run over the resulting state
-        changes nothing. Coupled mode reboots every record that is Running or
-        Paused on disk, which is the baseline behavior being emulated.
-        """
-        self._restore_registry()
-
-        reboots: list[ContainerRecord] = []
-        rearm_grace: list[ContainerRecord] = []
-        # A copy: settling a record takes it out of self.records.
-        for record in list(self.records.values()):
-            kind = record.state.kind
-            exit_path = self.layout.exit_path(record.id)
-            if exit_path.is_file():
-                self._ingest_one(record, exit_path)
-                continue
-            if kind is StateKind.LOST:
-                continue
-            if self.config.mode is SupervisionMode.COUPLED:
-                self._reconcile_coupled(record, reboots)
-                continue
-            if kind is StateKind.CREATED:
-                # Launch was in flight when the previous daemon died; no
-                # identity was ever learned, so there is nothing to adopt.
-                record.advance(ContainerState.lost())
-                self._commit(record)
-                continue
-            if record.container is not None and sandbox.is_alive(record.container):
-                self._adopt_live(record, rearm_grace)
-            if self._supervise(record):
-                reboots.append(record)
-        return reboots, rearm_grace
 
     def _restore_registry(self) -> None:
         """Load the records that can change and open the settled index.
@@ -465,48 +520,6 @@ class Daemon:
             return record
         return None
 
-    def _adopt_live(
-        self, record: ContainerRecord, rearm_grace: list[ContainerRecord]
-    ) -> None:
-        assert record.container is not None
-        kind = record.state.kind
-        proc_state = sandbox.proc_state(record.container.pid)
-        if kind is StateKind.STOPPING:
-            rearm_grace.append(record)  # keep Stopping; re-arm the kill timer
-            return
-        if proc_state == "T" and kind is StateKind.RUNNING:
-            record.advance(ContainerState.paused())
-            self._commit(record)
-        elif proc_state != "T" and kind is StateKind.PAUSED:
-            record.advance(ContainerState.running())
-            self._commit(record)
-        # otherwise the record already tells the truth; adopt as-is
-
-    def _reconcile_coupled(
-        self, record: ContainerRecord, reboots: list[ContainerRecord]
-    ) -> None:
-        """Baseline emulation: nothing running survives a daemon restart."""
-        self._kill_supervision(record)
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self.layout.exit_path(record.id))
-        kind = record.state.kind
-        if kind in (StateKind.RUNNING, StateKind.PAUSED):
-            if kind is StateKind.PAUSED:
-                record.advance(ContainerState.running())
-            record.restart_count += 1
-            record.monitor = None
-            record.container = None
-            reboots.append(record)
-        elif kind is StateKind.STOPPING:
-            self._finish(
-                record,
-                ContainerState.exited(signal=int(signal.SIGKILL)),
-                unknown=True,
-            )
-        elif kind is StateKind.CREATED:
-            record.advance(ContainerState.lost())
-            self._commit(record)
-
     def _kill_supervision(self, record: ContainerRecord) -> None:
         """SIGKILL the monitor first (so no exit file appears), then the group."""
         if record.monitor is not None and sandbox.is_alive(record.monitor):
@@ -514,14 +527,6 @@ class Daemon:
                 os.kill(record.monitor.pid, signal.SIGKILL)
         if record.container is not None and sandbox.is_alive(record.container):
             sandbox.signal_group(record.container.pid, signal.SIGKILL)
-
-    def _abort_all_containers(self) -> None:
-        """Coupled shutdown: containers die with the daemon. Disk records are
-        left as they are, so the next start sees them as previously running
-        and reboots them."""
-        for record in self.records.values():
-            if record.state.kind in _LIVE_KINDS:
-                self._kill_supervision(record)
 
     # -- persistence ------------------------------------------------------------
 
@@ -590,74 +595,74 @@ class Daemon:
         so a wake scales with the records still to settle, not the history.
         """
         for record in list(self.records.values()):
-            path = self.layout.exit_path(record.id)
-            if path.is_file():
-                self._ingest_one(record, path)
-
-    def _ingest_one(self, record: ContainerRecord, path: Path) -> None:
-        try:
-            report = read_exit_report(path)
-            if report.container_id != record.id:
-                raise ExitFormatError(
-                    f"exit file {path.name} reports id {report.container_id}"
-                )
-        except (ExitFormatError, OSError) as exc:
-            log.warning("quarantining %s: %s", path, exc)
-            self._quarantine(path, "corrupt")
-            self._lose(record)
-            return
-        state = report.state()
-        try:
-            self._finish(record, state, at_ms=report.finished_at)
-        except IllegalTransition:
-            # A code-variant exit for a Paused record proves the group was
-            # resumed out of band and ran to completion; take the legal path.
-            record.advance(ContainerState.running())
-            self._finish(record, state, at_ms=report.finished_at)
+            if self.layout.exit_path(record.id).is_file() and self._supervise(record):
+                self._spawn(self._relaunch(record))
 
     # -- supervision ----------------------------------------------------------------
 
-    def _supervise(self, record: ContainerRecord) -> bool:
-        """The one supervision check of a live record; True means reboot it.
+    def _supervise(self, record: ContainerRecord, *, at_start: bool = False) -> bool:
+        """Gather a record's facts, decide, and apply the steps; True means
+        reboot it: the record stays Running with no identities, and the
+        caller relaunches it. Runs for every record at reconcile, and for a
+        record whose watch fires, whose exit file appears or whose late
+        handshake lands."""
+        # Probed before the exit file is read: a monitor dead by then has
+        # written any exit file it ever will.
+        monitor, container = _probe(record.monitor), _probe(record.container)
+        path = self.layout.exit_path(record.id)
+        try:
+            report = read_exit_report(path)
+            if report.container_id != record.id:
+                raise ExitFormatError(f"exit file {path.name} reports id {report.container_id}")
+            found = ExitFact.CODE if report.exit_code is not None else ExitFact.SIGNAL
+        except FileNotFoundError:
+            found = ExitFact.ABSENT
+        except (ExitFormatError, OSError) as exc:
+            log.warning("quarantining %s: %s", path, exc)
+            found = ExitFact.CORRUPT
+        coupled = self.config.mode is SupervisionMode.COUPLED
+        restart = record.spec.restart_on_monitor_loss
+        facts = Facts(record.state.kind, found, monitor, container, coupled, restart, at_start)
+        for step in decide(facts):
+            if step is Step.SETTLE:
+                self._finish(record, report.state(), at_ms=report.finished_at)
+            elif step is Step.QUARANTINE:
+                self._quarantine(path, "corrupt")
+            elif step is Step.LOSE:
+                self._lose(record)
+            elif step is Step.MARK_RUNNING or step is Step.MARK_PAUSED:
+                running = step is Step.MARK_RUNNING
+                record.advance(ContainerState.running() if running else ContainerState.paused())
+                self._commit(record)
+            elif step is Step.REARM_GRACE:
+                self._arm_grace_timer(record.id, record.spec.stop_grace_ms)
+            elif step is Step.WATCH_MONITOR or step is Step.WATCH_CONTAINER:
+                watched = record.monitor if step is Step.WATCH_MONITOR else record.container
+                self._watch(record.id, watched)
+            elif step is Step.AWAIT_HANDSHAKE:
+                self._spawn(self._await_handshake(record))
+            else:  # SETTLE_UNKNOWN or REBOOT: what still lives dies first
+                if container in _ALIVE and not (coupled and at_start):
+                    what = "rebooting container" if step is Step.REBOOT else "killing (restart disabled)"
+                    log.warning("monitor lost for %s; %s", record.id, what)
+                self._kill_supervision(record)
+                if step is Step.SETTLE_UNKNOWN:
+                    self._finish(record, ContainerState.exited(signal=int(signal.SIGKILL)), unknown=True)
+                    continue
+                if record.state.kind is StateKind.PAUSED:
+                    record.advance(ContainerState.running())
+                record.restart_count += 1
+                record.monitor = record.container = None
+                return True
+        return False
 
-        Runs for every live record at reconcile and whenever a record's
-        watch fires. It settles the record, watches it again, or leaves it
-        for a later commit; on True the record stays Running with no
-        identities, and the caller relaunches it.
-        """
-        exit_path = self.layout.exit_path(record.id)
-        if exit_path.is_file():
-            self._ingest_one(record, exit_path)
-            if record.state.kind not in _LIVE_KINDS:
-                return False
-            # A corrupt file was quarantined and left the record live.
-        if record.monitor is not None and sandbox.is_alive(record.monitor):
-            self._watch(record.id, record.monitor)
-            return False
-        container = record.container
-        if container is None or not sandbox.is_alive(container):
-            self._finish(
-                record, ContainerState.exited(signal=int(signal.SIGKILL)), unknown=True
-            )
-            return False
-        if record.state.kind in (StateKind.STOPPING, StateKind.PAUSED):
-            # Stopping: the grace timer owns the group's fate. Paused: the
-            # commit of an unpause checks again. Until then the group's
-            # death settles the record.
-            self._watch(record.id, container)
-            return False
-        sandbox.signal_group(container.pid, signal.SIGKILL)
-        if not record.spec.restart_on_monitor_loss:
-            log.warning("monitor lost for %s; killing (restart disabled)", record.id)
-            self._finish(
-                record, ContainerState.exited(signal=int(signal.SIGKILL)), unknown=True
-            )
-            return False
-        log.warning("monitor lost for %s; rebooting container", record.id)
-        record.restart_count += 1
-        record.monitor = None
-        record.container = None
-        return True
+    async def _await_handshake(self, record: ContainerRecord) -> None:
+        """Give a Created record's monitor the handshake timeout to report
+        in (see _op_launched), then decide again."""
+        await asyncio.sleep(_HANDSHAKE_TIMEOUT_MS / 1000.0)
+        # Not a later launch of the same record, after it went Lost.
+        if record.state.kind is StateKind.CREATED and record.id not in self._pending_launch:
+            self._supervise(record)
 
     def _watch(self, container_id: str, identity: ProcessIdentity) -> None:
         """Make the record's one watch wait on identity's process: its death
@@ -698,10 +703,7 @@ class Daemon:
         task.add_done_callback(self._bg_tasks.discard)
 
     async def _relaunch(self, record: ContainerRecord) -> None:
-        """Launch a fresh supervision tree for a record that stays Running.
-
-        Failures mark the record Lost.
-        """
+        """Launch a fresh supervision tree for a record; failing, it goes Lost."""
         outcome = await self._launch(record)
         if outcome is not None:
             log.warning("relaunch of %s failed: %s", record.id, outcome.detail)
@@ -741,9 +743,7 @@ class Daemon:
         self._no_launch_pending.clear()
         handle: LaunchHandle | None = None
         try:
-            handle = fork_monitor(
-                record.id, self.layout, self.config.mode, record.spec, launch_token=token
-            )
+            handle = fork_monitor(record.id, self.layout, self.config.mode, record.spec, token)
             # Reaps the direct child whenever it dies, after this returns
             # too: P1 in decoupled mode, the monitor itself otherwise.
             forked = reap(handle.child_pid)
@@ -753,14 +753,7 @@ class Daemon:
                 return_when=asyncio.FIRST_COMPLETED,
             )
             if launched in done:
-                message = launched.result()
-                record.monitor = ProcessIdentity.from_dict(message["monitor"])
-                record.container = ProcessIdentity.from_dict(message["container"])
-                record.started_at = now_ms()
-                if record.state.kind is StateKind.CREATED:
-                    record.advance(ContainerState.running())
-                self._commit(record)
-                self._start_coupled_waiter(record.id)
+                self._land(record, launched.result())
                 return None
             if forked in done:
                 status = forked.result()
@@ -783,6 +776,16 @@ class Daemon:
                 self._no_launch_pending.set()
             if handle is not None:
                 handle.close()
+
+    def _land(self, record: ContainerRecord, message: dict[str, Any]) -> None:
+        """Commit the identities a launch's handshake reports."""
+        record.monitor = ProcessIdentity.from_dict(message["monitor"])
+        record.container = ProcessIdentity.from_dict(message["container"])
+        record.started_at = now_ms()
+        if record.state.kind is StateKind.CREATED:
+            record.advance(ContainerState.running())
+        self._commit(record)
+        self._start_coupled_waiter(record.id)
 
     def _start_coupled_waiter(self, container_id: str) -> None:
         """Coupled emulation: one blocking wait-thread per running container,
@@ -983,7 +986,7 @@ class Daemon:
             await asyncio.sleep(grace_ms / 1000.0)
             record = self.records.get(container_id)
             if record is not None and record.state.kind is StateKind.STOPPING:
-                if record.container is not None:
+                if record.container is not None and sandbox.is_alive(record.container):
                     sandbox.signal_group(record.container.pid, signal.SIGKILL)
 
         self._spawn(enforce())
@@ -993,11 +996,11 @@ class Daemon:
         kind = record.state.kind
         if kind is StateKind.EXITED:
             return {"ok": True, "id": record.id, "already": "exited"}
-        if kind in _LIVE_KINDS and record.container is not None:
-            self._signal_record(record, signal.SIGKILL)
-            return {"ok": True, "id": record.id}
-        if kind is StateKind.LOST and record.container is not None:
-            sandbox.signal_group(record.container.pid, signal.SIGKILL)
+        if kind is not StateKind.CREATED and record.container is not None:
+            # A group that is gone may have its pid reused: a Lost record's,
+            # for one, went Lost over a corrupt exit file.
+            if sandbox.is_alive(record.container):
+                sandbox.signal_group(record.container.pid, signal.SIGKILL)
             return {"ok": True, "id": record.id}
         raise ApiError("invalid_state", f"{record.id} is {kind.value}")
 
@@ -1201,8 +1204,7 @@ class Daemon:
 
     async def _op_logs(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._get(request)
-        monitor_alive = record.monitor is not None and sandbox.is_alive(record.monitor)
-        if monitor_alive:
+        if record.monitor is not None and sandbox.is_alive(record.monitor):
             return {
                 "ok": True,
                 "id": record.id,
@@ -1247,6 +1249,7 @@ class Daemon:
     async def _op_launched(self, request: dict[str, Any]) -> dict[str, Any]:
         container_id = str(request.get("id", ""))
         pending = self._pending_launch.get(container_id)
+        record = self.records.get(container_id)
         if pending is not None:
             token, future = pending
             # The token keeps a stale monitor (an earlier attempt for the
@@ -1254,17 +1257,13 @@ class Daemon:
             if request.get("token") == token and not future.done():
                 future.set_result(request)
                 return {"ok": True}
-        record = self.records.get(container_id)
-        if record is not None and record.state.kind is StateKind.CREATED:
-            # The launching daemon died before its handshake wait; adopt.
-            record.monitor = ProcessIdentity.from_dict(request["monitor"])
-            record.container = ProcessIdentity.from_dict(request["container"])
-            record.started_at = now_ms()
-            record.advance(ContainerState.running())
-            self._commit(record)
-            self._start_coupled_waiter(record.id)
+        elif record is not None and record.state.kind is StateKind.CREATED:
+            # The launching daemon died before its handshake wait; adopt,
+            # and decide at once in case the monitor is already gone.
+            self._land(record, request)
+            await self._check(container_id)
             return {"ok": True}
-        # Unwanted: the launch was written off (Lost) or the id is unknown.
+        # Unwanted: a mismatched token, a written-off launch (Lost), an unknown id.
         # Kill what just reported in; its exit file settles any Lost record.
         log.warning("scavenging unwanted launch for %s", container_id or "<no id>")
         try:

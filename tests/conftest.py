@@ -20,6 +20,8 @@ from typing import Callable, Iterator
 import pytest
 
 import hydra
+from hydra import sandbox
+from hydra.model import ProcessIdentity
 
 from .support import Engine
 
@@ -139,3 +141,22 @@ def kill_silently(pid: int | None) -> None:
         os.kill(int(pid), signal.SIGKILL)
     except OSError:
         pass
+
+
+@pytest.fixture
+def sleepers():
+    """Live process pairs standing in for a monitor and its container, each
+    the leader of its own group."""
+    procs: list[subprocess.Popen] = []
+
+    def pair() -> tuple[ProcessIdentity, ProcessIdentity]:
+        for _ in range(2):
+            procs.append(subprocess.Popen(["sleep", "600"], start_new_session=True))
+        monitor, container = (sandbox.identity_of(p.pid) for p in procs[-2:])
+        assert monitor is not None and container is not None
+        return monitor, container
+
+    yield pair
+    for proc in procs:
+        proc.kill()
+        proc.wait()

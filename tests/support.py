@@ -165,9 +165,9 @@ async def until(predicate, timeout_s: float = 10.0) -> None:
         await asyncio.sleep(0.01)
 
 
-async def host(state_root: str) -> tuple[Daemon, asyncio.Task]:
+async def host(state_root: str, mode: str = "decoupled") -> tuple[Daemon, asyncio.Task]:
     """A daemon serving on this loop, and the task that runs it."""
-    daemon = Daemon(DaemonConfig(state_root=state_root))
+    daemon = Daemon(DaemonConfig(state_root=state_root, mode=SupervisionMode(mode)))
     ready = asyncio.Event()
     serving = asyncio.create_task(daemon.serve(ready=ready))
     await asyncio.wait_for(ready.wait(), 15.0)
@@ -177,6 +177,18 @@ async def host(state_root: str) -> tuple[Daemon, asyncio.Task]:
 async def stop(daemon: Daemon, serving: asyncio.Task) -> None:
     await request(daemon, "shutdown")
     await asyncio.wait_for(serving, 30.0)
+
+
+def serve_once(state_root: str, body=None, mode: str = "decoupled"):
+    """Start a daemon on state_root, run body(daemon) against it, stop it."""
+    async def scenario():
+        daemon, serving = await host(state_root, mode)
+        try:
+            return await body(daemon) if body is not None else None
+        finally:
+            await stop(daemon, serving)
+
+    return asyncio.run(scenario())
 
 
 async def stop_and_kill(daemon: Daemon, serving: asyncio.Task) -> None:

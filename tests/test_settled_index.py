@@ -8,25 +8,21 @@ wait for one, so each test looks at what the start itself read).
 
 from __future__ import annotations
 
-import asyncio
 import os
-import subprocess
 
 import pytest
 
 import hydra.daemon
-from hydra import sandbox
 from hydra.model import (
     ContainerRecord,
     ContainerSpec,
     ContainerState,
-    ProcessIdentity,
     StateKind,
     SupervisionMode,
 )
 from hydra.protocol import StateDirLayout, dump_record, resolve_layout
 
-from .support import host, request, stop, write_settled
+from .support import request, serve_once, write_settled
 
 
 @pytest.fixture
@@ -41,36 +37,6 @@ def loads(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(hydra.daemon, "load_record", counting)
     return calls
-
-
-@pytest.fixture
-def sleepers():
-    """Live process pairs standing in for a monitor and its container."""
-    procs: list[subprocess.Popen] = []
-
-    def pair() -> tuple[ProcessIdentity, ProcessIdentity]:
-        for _ in range(2):
-            procs.append(subprocess.Popen(["sleep", "600"], start_new_session=True))
-        monitor, container = (sandbox.identity_of(p.pid) for p in procs[-2:])
-        assert monitor is not None and container is not None
-        return monitor, container
-
-    yield pair
-    for proc in procs:
-        proc.kill()
-        proc.wait()
-
-
-def start(state_root: str, body=None):
-    """Start a daemon on state_root, run body(daemon) against it, stop it."""
-    async def scenario():
-        daemon, serving = await host(state_root)
-        try:
-            return await body(daemon) if body is not None else None
-        finally:
-            await stop(daemon, serving)
-
-    return asyncio.run(scenario())
 
 
 def running_record(container_id: str, monitor, container) -> ContainerRecord:
@@ -92,7 +58,7 @@ def test_restart_reads_only_live_records(state_root, loads, sleepers):
     for container_id in live:
         dump_record(layout, running_record(container_id, *sleepers()))
 
-    start(state_root)
+    serve_once(state_root)
     assert len(loads) == 3002  # no index yet: a full scan builds it
     loads.clear()
 
@@ -102,7 +68,7 @@ def test_restart_reads_only_live_records(state_root, loads, sleepers):
         restored = sorted(loads)
         return restored, await request(daemon, "status"), await request(daemon, "wait", id=probe)
 
-    restored, status, waited = start(state_root, body)
+    restored, status, waited = serve_once(state_root, body)
     assert restored == live
     assert status["containers"] == {"running": 2, "exited": 3000}
     assert waited["exit_code"] == codes[probe]
@@ -113,14 +79,14 @@ def test_exit_settled_at_runtime_is_indexed(state_root, loads):
         reply = await request(daemon, "run", spec={"command": ["sh", "-c", "exit 7"]})
         return await request(daemon, "wait", id=reply["id"])
 
-    waited = start(state_root, first)
+    waited = serve_once(state_root, first)
     assert waited["exit_code"] == 7
     loads.clear()
 
     async def second(daemon):
         return list(loads), await request(daemon, "wait", id=waited["id"])
 
-    restored, again = start(state_root, second)
+    restored, again = serve_once(state_root, second)
     assert restored == []
     assert again == waited
 
@@ -129,21 +95,21 @@ def test_exited_record_without_index_line_is_reindexed(state_root, loads):
     # A crash between the record commit and the index append.
     layout = resolve_layout(state_root)
     codes = write_settled(layout, 3)
-    start(state_root)
+    serve_once(state_root)
     victim = "0000000000000001"
     kept = [line for line in index_lines(layout) if not line.startswith(victim.encode())]
     assert len(kept) == 2
     layout.settled_index.write_bytes(b"".join(kept))
     loads.clear()
 
-    start(state_root)
+    serve_once(state_root)
     assert loads == [victim]
     loads.clear()
 
     async def body(daemon):
         return list(loads), await request(daemon, "wait", id=victim)
 
-    restored, waited = start(state_root, body)
+    restored, waited = serve_once(state_root, body)
     assert restored == []
     assert waited["exit_code"] == codes[victim]
 
@@ -152,7 +118,7 @@ def test_index_line_is_stale_once_record_file_is_replaced(state_root, loads):
     # The file was rewritten by a daemon that does not know the index.
     layout = resolve_layout(state_root)
     write_settled(layout, 2)
-    start(state_root)
+    serve_once(state_root)
     victim = "0000000000000001"
     record = ContainerRecord(
         id=victim, spec=ContainerSpec(command=("true",)), mode=SupervisionMode.DECOUPLED,
@@ -164,7 +130,7 @@ def test_index_line_is_stale_once_record_file_is_replaced(state_root, loads):
     async def body(daemon):
         return list(loads), await request(daemon, "wait", id=victim)
 
-    restored, waited = start(state_root, body)
+    restored, waited = serve_once(state_root, body)
     assert restored == [victim]
     assert (waited["exit_code"], waited["term_signal"], waited["finished_at"]) == (None, 9, 5000)
 
@@ -172,7 +138,7 @@ def test_index_line_is_stale_once_record_file_is_replaced(state_root, loads):
 def test_record_restarted_behind_the_index_is_adopted(state_root, loads, sleepers):
     layout = resolve_layout(state_root)
     write_settled(layout, 2)
-    start(state_root)
+    serve_once(state_root)
     victim = "0000000000000001"
     monitor, container = sleepers()
     dump_record(layout, running_record(victim, monitor, container))
@@ -183,7 +149,7 @@ def test_record_restarted_behind_the_index_is_adopted(state_root, loads, sleeper
         watched = daemon._watches.get(victim)
         return status, record, watched
 
-    status, record, watched = start(state_root, body)
+    status, record, watched = serve_once(state_root, body)
     assert status["containers"] == {"running": 1, "exited": 1}
     assert record is not None and record.state.kind is StateKind.RUNNING
     assert record.container == container
@@ -194,7 +160,7 @@ def test_record_restarted_behind_the_index_is_adopted(state_root, loads, sleeper
 def test_damaged_index_is_rebuilt_by_full_scan(state_root, loads, damage):
     layout = resolve_layout(state_root)
     codes = write_settled(layout, 5)
-    start(state_root)
+    serve_once(state_root)
     data = layout.settled_index.read_bytes()
     assert data.count(b"\n") == 5
     if damage == "missing":
@@ -210,14 +176,14 @@ def test_damaged_index_is_rebuilt_by_full_scan(state_root, loads, damage):
         restored = sorted(loads)
         return restored, [await request(daemon, "wait", id=container_id) for container_id in codes]
 
-    restored, waited = start(state_root, body)
+    restored, waited = serve_once(state_root, body)
     assert restored == sorted(codes)
     assert [reply["exit_code"] for reply in waited] == list(codes.values())
     assert not [name for name in os.listdir(layout.containers_dir)
                 for inner in os.listdir(layout.containers_dir / name)
                 if inner != "record.json"]
     loads.clear()
-    start(state_root)
+    serve_once(state_root)
     assert loads == []
 
 
@@ -229,7 +195,7 @@ def test_removed_id_with_leftover_line_is_gone(state_root, loads):
     async def remove(daemon):
         return await request(daemon, "rm", id=gone)
 
-    assert start(state_root, remove)["ok"]
+    assert serve_once(state_root, remove)["ok"]
     assert any(line.startswith(gone.encode()) for line in index_lines(layout))
 
     async def body(daemon):
@@ -238,7 +204,7 @@ def test_removed_id_with_leftover_line_is_gone(state_root, loads):
         listing = await request(daemon, "ps")
         return status, waited, listing
 
-    status, waited, listing = start(state_root, body)
+    status, waited, listing = serve_once(state_root, body)
     assert status["containers"] == {"exited": 1}
     assert waited["error"] == "not_found"
     assert [row["id"] for row in listing["containers"]] == [kept]
@@ -261,7 +227,7 @@ def test_ps_pages_when_asked(state_root):
         refused = await request(daemon, "ps", limit=0)
         return whole, pages, refused
 
-    whole, pages, refused = start(state_root, body)
+    whole, pages, refused = serve_once(state_root, body)
     assert "next" not in whole and [row["id"] for row in whole["containers"]] == ids
     assert pages == [ids[0:2], ids[2:4], ids[4:5]]
     assert refused["error"] == "invalid_request"
