@@ -19,7 +19,6 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Any, NoReturn
 
 from .client import (
@@ -30,7 +29,6 @@ from .client import (
     exit_code_from_notice,
     read_log_frames,
 )
-from .daemon import Daemon, DaemonConfig
 from .model import ContainerSpec, HydraError, Isolation, SupervisionMode
 from .protocol import (
     FRAME_EXIT_NOTICE,
@@ -38,11 +36,11 @@ from .protocol import (
     FRAME_STDOUT,
     StateDirLayout,
     resolve_layout,
+    state_root,
 )
 
 __all__ = ["main"]
 
-DEFAULT_STATE_DIR = "~/.hydra"
 _DAEMON_START_TIMEOUT_S = 10.0
 # Containers per ps request: a page of summaries stays far below the 1 MiB
 # reply line limit.
@@ -63,7 +61,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hydra", description="Container supervision engine.")
     parser.add_argument(
         "--state-dir",
-        default=os.environ.get("HYDRA_STATE_DIR", DEFAULT_STATE_DIR),
+        default=None,
         help="state directory (default: $HYDRA_STATE_DIR or ~/.hydra)",
     )
     parser.add_argument(
@@ -168,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    layout = resolve_layout(Path(args.state_dir).expanduser().absolute())
+    layout = resolve_layout(state_root(args.state_dir))
     client = DaemonClient(layout)
     try:
         return _dispatch(args, layout, client)
@@ -261,19 +259,12 @@ def _list_containers(client: DaemonClient) -> dict[str, Any]:
 
 
 def _daemon_start(args: argparse.Namespace, layout: StateDirLayout, client: DaemonClient) -> int:
-    mode = SupervisionMode(args.mode) if args.mode else SupervisionMode.DECOUPLED
-
     if args.foreground:
-        import asyncio
+        from .daemon import run
 
-        from .daemon import AlreadyRunning
+        return run(args.state_dir, args.mode)
 
-        try:
-            asyncio.run(Daemon(DaemonConfig(state_root=layout.root, mode=mode)).serve())
-        except AlreadyRunning as exc:
-            print(f"hydra: error: {exc}", file=sys.stderr)
-            return 1
-        return 0
+    mode = SupervisionMode(args.mode) if args.mode else SupervisionMode.DECOUPLED
 
     with contextlib.suppress(TransportError, RequestFailed):
         status = client.request("status", timeout=5.0)

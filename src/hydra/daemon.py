@@ -1,10 +1,11 @@
 """The engine process: container registry, monitor launcher, exit ingester.
 
 One daemon owns one state directory (enforced by a lock file). It persists
-every record mutation to disk before answering, so a crash at any point
-loses nothing: the next daemon rebuilds the registry from record files, exit
-files, and live-process identity checks (reconciliation). In decoupled and
-lazy modes no container process depends on the daemon being alive.
+every record mutation to disk before answering, so a crash of the process
+at any point loses nothing (a power loss can: records are not fsynced): the
+next daemon rebuilds the registry from record files, exit files, and
+live-process identity checks (reconciliation). In decoupled and lazy modes
+no container process depends on the daemon being alive.
 
 Settled (Exited) records can no longer change, so the registry holds only
 the records that can: a settled record is its file on disk, read on demand,
@@ -35,14 +36,14 @@ import bisect
 import contextlib
 import enum
 import fcntl
+import gc
 import logging
 import os
-import secrets
 import signal
 import stat
+import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -57,6 +58,7 @@ from .model import (
     ProcessIdentity,
     StateKind,
     SupervisionMode,
+    Value,
     is_container_id,
     new_container_id,
     now_ms,
@@ -86,6 +88,7 @@ from .protocol import (
     resolve_layout,
     settled_identity,
     settled_line,
+    state_root,
     write_pid_file,
 )
 
@@ -95,6 +98,7 @@ __all__ = [
     "AlreadyRunning",
     "ApiError",
     "Daemon",
+    "run",
 ]
 
 log = logging.getLogger("hydra.daemon")
@@ -108,13 +112,13 @@ WAITER_CONTEXT_BYTES = 65536
 _LIVE_KINDS = (StateKind.RUNNING, StateKind.PAUSED, StateKind.STOPPING)
 
 
-@dataclass(frozen=True, slots=True)
-class DaemonConfig:
+class DaemonConfig(Value):
+    __slots__ = ("state_root", "mode")
     state_root: str
-    mode: SupervisionMode = SupervisionMode.DECOUPLED
+    mode: SupervisionMode
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", SupervisionMode(self.mode))
+    def __init__(self, state_root: str, mode: SupervisionMode = SupervisionMode.DECOUPLED):
+        self._init(state_root, SupervisionMode(mode))
 
 
 class AlreadyRunning(HydraError):
@@ -737,7 +741,7 @@ class Daemon:
         loop = asyncio.get_running_loop()
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.layout.exit_path(record.id))
-        token = secrets.token_hex(8)
+        token = os.urandom(8).hex()
         launched: asyncio.Future[dict[str, Any]] = loop.create_future()
         self._pending_launch[record.id] = (token, launched)
         self._no_launch_pending.clear()
@@ -1314,3 +1318,30 @@ class Daemon:
                 waiters.remove(future)
             if not waiters and self._waiters.get(record.id) is waiters:
                 del self._waiters[record.id]
+
+
+# -- the foreground entry -------------------------------------------------------
+
+
+def run(state_dir: str | None = None, mode: str | None = None) -> int:
+    """Serve a state directory in this process until shutdown: `hydra
+    daemon start --foreground`. Returns the exit status.
+
+    `python -m hydra` runs the engine imports with the collector off, as
+    they build much and free little. What they built is frozen here, before
+    serving: the collector never walks it again, so its pages stay shared
+    with every monitor this process forks.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        config = DaemonConfig(str(state_root(state_dir)), mode or SupervisionMode.DECOUPLED)
+    except ValueError:
+        print(f"hydra: error: unknown supervision mode {mode!r}", file=sys.stderr)
+        return 1
+    try:
+        asyncio.run(Daemon(config).serve())
+    except AlreadyRunning as exc:
+        print(f"hydra: error: {exc}", file=sys.stderr)
+        return 1
+    return 0

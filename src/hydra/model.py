@@ -8,16 +8,16 @@ writer (the daemon's registry) at any time.
 from __future__ import annotations
 
 import enum
+import os
 import random
 import re
-import secrets
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
     "HydraError",
     "InvalidSpec",
+    "Value",
     "IllegalTransition",
     "SupervisionMode",
     "Isolation",
@@ -69,7 +69,7 @@ def new_container_id(rng_seed: int | None = None) -> str:
     """Return a fresh 16-hex-char container id; deterministic when seeded."""
     if rng_seed is not None:
         return f"{random.Random(rng_seed).getrandbits(64):016x}"
-    return f"{secrets.randbits(64):016x}"
+    return os.urandom(8).hex()
 
 
 def is_container_id(value: object) -> bool:
@@ -82,22 +82,59 @@ def now_ms() -> int:
     return time.time_ns() // 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessIdentity:
+class Value:
+    """A value whose fields are its __slots__, set once by __init__ through
+    _init: immutable, equal to a value of its own class with equal fields,
+    hashed by them. It behaves as a frozen dataclass does, without one's
+    cost at every process start: `dataclasses` compiles each class's
+    methods when the class is defined, and cached bytecode cannot keep it.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values: Any) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ProcessIdentity(Value):
     """A pid paired with its start time, immune to pid recycling.
 
     A bare pid stops identifying a process the moment the kernel reuses it;
     (pid, start_ticks) does not, because two processes cannot share both.
     """
 
+    __slots__ = ("pid", "start_ticks")
     pid: int
     start_ticks: int
 
-    def __post_init__(self) -> None:
-        if self.pid <= 0:
-            raise InvalidSpec(f"pid must be positive, got {self.pid}")
-        if self.start_ticks < 0:
-            raise InvalidSpec(f"start_ticks must be >= 0, got {self.start_ticks}")
+    def __init__(self, pid: int, start_ticks: int) -> None:
+        if pid <= 0:
+            raise InvalidSpec(f"pid must be positive, got {pid}")
+        if start_ticks < 0:
+            raise InvalidSpec(f"start_ticks must be >= 0, got {start_ticks}")
+        self._init(pid, start_ticks)
 
     def to_dict(self) -> dict[str, int]:
         return {"pid": self.pid, "start_ticks": self.start_ticks}
@@ -107,30 +144,39 @@ class ProcessIdentity:
         return cls(pid=int(data["pid"]), start_ticks=int(data["start_ticks"]))
 
 
-@dataclass(frozen=True, slots=True)
-class ContainerSpec:
+class ContainerSpec(Value):
     """Immutable launch description: argv, environment, isolation, stop policy."""
 
+    __slots__ = (
+        "command", "env", "working_dir", "isolation", "restart_on_monitor_loss", "stop_grace_ms"
+    )
     command: tuple[str, ...]
-    env: tuple[str, ...] = ()
-    working_dir: str | None = None
-    isolation: Isolation = Isolation.NONE
-    restart_on_monitor_loss: bool = True
-    stop_grace_ms: int = 10_000
+    env: tuple[str, ...]
+    working_dir: str | None
+    isolation: Isolation
+    restart_on_monitor_loss: bool
+    stop_grace_ms: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "command", tuple(self.command))
-        object.__setattr__(self, "env", tuple(self.env))
-        object.__setattr__(self, "isolation", Isolation(self.isolation))
-        if not self.command or not self.command[0]:
+    def __init__(
+        self,
+        command: tuple[str, ...],
+        env: tuple[str, ...] = (),
+        working_dir: str | None = None,
+        isolation: Isolation = Isolation.NONE,
+        restart_on_monitor_loss: bool = True,
+        stop_grace_ms: int = 10_000,
+    ) -> None:
+        command, env, isolation = tuple(command), tuple(env), Isolation(isolation)
+        if not command or not command[0]:
             raise InvalidSpec("command must be a non-empty argv list")
-        for entry in self.env:
+        for entry in env:
             if "=" not in entry:
                 raise InvalidSpec(f"env entry {entry!r} is not KEY=VALUE")
-        if self.working_dir is not None and not self.working_dir.startswith("/"):
-            raise InvalidSpec(f"working_dir must be absolute, got {self.working_dir!r}")
-        if self.stop_grace_ms < 0:
-            raise InvalidSpec(f"stop_grace_ms must be >= 0, got {self.stop_grace_ms}")
+        if working_dir is not None and not working_dir.startswith("/"):
+            raise InvalidSpec(f"working_dir must be absolute, got {working_dir!r}")
+        if stop_grace_ms < 0:
+            raise InvalidSpec(f"stop_grace_ms must be >= 0, got {stop_grace_ms}")
+        self._init(command, env, working_dir, isolation, restart_on_monitor_loss, stop_grace_ms)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -163,25 +209,28 @@ class StateKind(str, enum.Enum):
     LOST = "lost"
 
 
-@dataclass(frozen=True, slots=True)
-class ContainerState:
+class ContainerState(Value):
     """A lifecycle state; Exited carries exactly one of exit_code / term_signal."""
 
+    __slots__ = ("kind", "exit_code", "term_signal")
     kind: StateKind
-    exit_code: int | None = None
-    term_signal: int | None = None
+    exit_code: int | None
+    term_signal: int | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", StateKind(self.kind))
-        if self.kind is StateKind.EXITED:
-            if (self.exit_code is None) == (self.term_signal is None):
+    def __init__(
+        self, kind: StateKind, exit_code: int | None = None, term_signal: int | None = None
+    ) -> None:
+        kind = StateKind(kind)
+        if kind is StateKind.EXITED:
+            if (exit_code is None) == (term_signal is None):
                 raise InvalidSpec("Exited needs exactly one of exit_code / term_signal")
-            if self.exit_code is not None and not 0 <= self.exit_code <= 255:
-                raise InvalidSpec(f"exit_code out of range: {self.exit_code}")
-            if self.term_signal is not None and self.term_signal <= 0:
-                raise InvalidSpec(f"term_signal must be positive: {self.term_signal}")
-        elif self.exit_code is not None or self.term_signal is not None:
-            raise InvalidSpec(f"{self.kind.value} state carries no exit status")
+            if exit_code is not None and not 0 <= exit_code <= 255:
+                raise InvalidSpec(f"exit_code out of range: {exit_code}")
+            if term_signal is not None and term_signal <= 0:
+                raise InvalidSpec(f"term_signal must be positive: {term_signal}")
+        elif exit_code is not None or term_signal is not None:
+            raise InvalidSpec(f"{kind.value} state carries no exit status")
+        self._init(kind, exit_code, term_signal)
 
     @classmethod
     def created(cls) -> ContainerState:
@@ -257,52 +306,86 @@ def require_transition(current: ContainerState, new: ContainerState) -> None:
         raise IllegalTransition(f"{current.kind.value} -> {new.kind.value} is not legal")
 
 
-@dataclass(frozen=True, slots=True)
-class ExitReport:
+class ExitReport(Value):
     """The durable termination record a monitor writes for its container."""
 
+    __slots__ = ("container_id", "exit_code", "term_signal", "finished_at")
     container_id: str
     exit_code: int | None
     term_signal: int | None
     finished_at: int  # epoch milliseconds
 
-    def __post_init__(self) -> None:
-        if not is_container_id(self.container_id):
-            raise InvalidSpec(f"bad container id {self.container_id!r}")
-        if (self.exit_code is None) == (self.term_signal is None):
+    def __init__(
+        self,
+        container_id: str,
+        exit_code: int | None,
+        term_signal: int | None,
+        finished_at: int,
+    ) -> None:
+        if not is_container_id(container_id):
+            raise InvalidSpec(f"bad container id {container_id!r}")
+        if (exit_code is None) == (term_signal is None):
             raise InvalidSpec("ExitReport needs exactly one of exit_code / term_signal")
-        if self.exit_code is not None and not 0 <= self.exit_code <= 255:
-            raise InvalidSpec(f"exit_code out of range: {self.exit_code}")
-        if self.term_signal is not None and self.term_signal <= 0:
-            raise InvalidSpec(f"term_signal must be positive: {self.term_signal}")
-        if self.finished_at < 0:
-            raise InvalidSpec(f"finished_at must be >= 0, got {self.finished_at}")
+        if exit_code is not None and not 0 <= exit_code <= 255:
+            raise InvalidSpec(f"exit_code out of range: {exit_code}")
+        if term_signal is not None and term_signal <= 0:
+            raise InvalidSpec(f"term_signal must be positive: {term_signal}")
+        if finished_at < 0:
+            raise InvalidSpec(f"finished_at must be >= 0, got {finished_at}")
+        self._init(container_id, exit_code, term_signal, finished_at)
 
     def state(self) -> ContainerState:
         """The Exited state this report maps to."""
         return ContainerState.exited(code=self.exit_code, signal=self.term_signal)
 
 
-@dataclass
-class ContainerRecord:
-    """Persisted registry entry for one container.
+class ContainerRecord(Value):
+    """Persisted registry entry for one container: unlike the other values,
+    its fields change in place, so it has no hash.
 
     exit_unknown marks an Exited status the daemon synthesized without an
     exit file (monitor and container both gone); the recorded term_signal is
     then a stand-in, not an observation.
     """
 
+    __slots__ = (
+        "id", "spec", "mode", "state", "monitor", "container",
+        "created_at", "started_at", "finished_at", "restart_count", "exit_unknown",
+    )
     id: str
     spec: ContainerSpec
     mode: SupervisionMode
-    state: ContainerState = field(default_factory=ContainerState.created)
-    monitor: ProcessIdentity | None = None
-    container: ProcessIdentity | None = None
-    created_at: int | None = None
-    started_at: int | None = None
-    finished_at: int | None = None
-    restart_count: int = 0
-    exit_unknown: bool = False
+    state: ContainerState
+    monitor: ProcessIdentity | None
+    container: ProcessIdentity | None
+    created_at: int | None
+    started_at: int | None
+    finished_at: int | None
+    restart_count: int
+    exit_unknown: bool
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        id: str,
+        spec: ContainerSpec,
+        mode: SupervisionMode,
+        state: ContainerState | None = None,
+        monitor: ProcessIdentity | None = None,
+        container: ProcessIdentity | None = None,
+        created_at: int | None = None,
+        started_at: int | None = None,
+        finished_at: int | None = None,
+        restart_count: int = 0,
+        exit_unknown: bool = False,
+    ) -> None:
+        self._init(
+            id, spec, mode, state if state is not None else ContainerState.created(),
+            monitor, container, created_at, started_at, finished_at, restart_count, exit_unknown,
+        )
 
     def check(self) -> None:
         """Raise if a record invariant does not hold. Called before persisting."""

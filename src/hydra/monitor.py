@@ -28,8 +28,7 @@ import signal
 import sys
 import traceback
 from collections.abc import Awaitable, Callable
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import sandbox
 from .model import (
@@ -82,8 +81,7 @@ _DRAIN_AFTER_EXIT_S = 0.5
 _SHUTDOWN_GRACE_S = 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class MonitorBootArgs:
+class MonitorBootArgs(NamedTuple):
     """Everything a monitor needs, handed over in memory across the fork.
 
     The monitor uses nothing else of the daemon's memory; these values plus
@@ -108,8 +106,7 @@ class MonitorBootArgs:
 # Daemon-side launch choreography
 
 
-@dataclass(slots=True)
-class LaunchHandle:
+class LaunchHandle(NamedTuple):
     """The daemon's view of an in-flight launch: its direct child and the
     pipe any spawn failure is reported through."""
 

@@ -12,9 +12,8 @@ import json
 import os
 import re
 import signal
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import (
     ContainerRecord,
@@ -36,6 +35,7 @@ __all__ = [
     "BadTag",
     "TruncatedStream",
     "StateDirLayout",
+    "state_root",
     "resolve_layout",
     "EXIT_NOTIFY",
     "FRAME_STDIN",
@@ -110,8 +110,7 @@ class TruncatedStream(FrameError):
 # State directory layout
 
 
-@dataclass(frozen=True, slots=True)
-class StateDirLayout:
+class StateDirLayout(NamedTuple):
     """All paths under one state directory; derived, never stored."""
 
     root: Path
@@ -158,6 +157,14 @@ class StateDirLayout:
 
     def log_path(self, container_id: str) -> Path:
         return self.logs_dir / f"{container_id}.log"
+
+
+def state_root(named: str | None) -> Path:
+    """The state directory a command names, else $HYDRA_STATE_DIR, else
+    ~/.hydra; a relative path is taken from the current directory."""
+    if named is None:
+        named = os.environ.get("HYDRA_STATE_DIR", "~/.hydra")
+    return Path(named).expanduser().absolute()
 
 
 def resolve_layout(root: str | Path) -> StateDirLayout:

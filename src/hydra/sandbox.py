@@ -15,8 +15,8 @@ import os
 import signal
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import ContainerSpec, ExitReport, HydraError, Isolation, ProcessIdentity, now_ms
 
@@ -82,8 +82,7 @@ class IsolationUnsupported(HydraError):
 # /proc parsing
 
 
-@dataclass(frozen=True, slots=True)
-class StatRow:
+class StatRow(NamedTuple):
     """The fields of /proc/<pid>/stat this engine cares about."""
 
     pid: int
@@ -221,8 +220,7 @@ def enter_namespaces_of(pid: int) -> None:
 # Spawning
 
 
-@dataclass(slots=True)
-class SandboxHandle:
+class SandboxHandle(NamedTuple):
     """A freshly spawned container process and the monitor's ends of its stdio."""
 
     container: ProcessIdentity
@@ -472,8 +470,7 @@ def report_from_status(container_id: str, status: int, *, at_ms: int | None = No
 # Process-table snapshots
 
 
-@dataclass(frozen=True, slots=True)
-class ProcRow:
+class ProcRow(NamedTuple):
     pid: int
     ppid: int
     command: str
@@ -481,8 +478,7 @@ class ProcRow:
     rss_bytes: int
 
 
-@dataclass(frozen=True, slots=True)
-class ProcSample:
+class ProcSample(NamedTuple):
     """Snapshot of a container's process subtree."""
 
     rows: tuple[ProcRow, ...]

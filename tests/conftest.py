@@ -102,6 +102,14 @@ def state_root() -> Iterator[str]:
     shutil.rmtree(root, ignore_errors=True)
 
 
+def hydra_env(state_dir: str) -> dict[str, str]:
+    """The environment of a hydra subprocess: the hydra these tests import,
+    found from any cwd, with state_dir as $HYDRA_STATE_DIR."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hydra.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, HYDRA_STATE_DIR=state_dir, PYTHONPATH=path)
+
+
 def run_cli(
     *args: str,
     state_dir: str,
@@ -111,12 +119,9 @@ def run_cli(
 ) -> subprocess.CompletedProcess:
     """Invoke the command line exactly as a user would, with the hydra these
     tests import, from any cwd."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hydra.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, HYDRA_STATE_DIR=state_dir, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "hydra", *args],
-        env=env,
+        env=hydra_env(state_dir),
         input=stdin,
         capture_output=True,
         timeout=timeout_s,

@@ -15,7 +15,7 @@ import pytest
 
 from hydra.protocol import resolve_layout
 
-from .conftest import kill_group_silently, kill_silently, run_cli, wait_for
+from .conftest import hydra_env, kill_group_silently, kill_silently, run_cli, wait_for
 from .support import write_settled
 
 
@@ -152,6 +152,79 @@ def test_daemon_start_honors_mode_flag():
     finally:
         run_cli("daemon", "stop", state_dir=root)
         shutil.rmtree(root, ignore_errors=True)
+
+
+# -- entry points ------------------------------------------------------------------
+
+ENGINE_MODULES = {"asyncio", "hydra.daemon", "hydra.monitor", "hydra.sandbox"}
+# What the foreground daemon must not import: the command line and its parser,
+# the client, and modules the engine's values and ids can do without.
+NOT_SERVING = {
+    "argparse", "gettext", "hydra.cli", "hydra.client",
+    "dataclasses", "secrets", "hashlib", "_hashlib",
+}
+
+
+def test_client_commands_load_no_engine():
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, hydra.cli; print(*sys.modules)"],
+        env=hydra_env(""),
+        capture_output=True,
+        timeout=30,
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded = set(probe.stdout.decode().split())
+    assert "hydra.cli" in loaded and "hydra.client" in loaded
+    assert not loaded & ENGINE_MODULES
+
+
+@pytest.mark.parametrize("mode", [["--mode", "bogus"], ["--mode=bogus"]])
+def test_foreground_daemon_with_unknown_mode_is_user_error(mode):
+    root = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
+    try:
+        result = run_cli(*mode, "daemon", "start", "--foreground", state_dir=root)
+        assert result.returncode == 1
+        assert b"bogus" in result.stderr
+        assert not os.path.exists(os.path.join(root, "daemon.sock"))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def test_foreground_daemon_imports_only_what_serving_needs():
+    root = tempfile.mkdtemp(prefix="hyb", dir="/tmp")
+    log = os.path.join(root, "importtime.log")
+    with open(log, "wb") as fh:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-X", "importtime", "-m", "hydra",
+                "--state-dir", root, "daemon", "start", "--foreground",
+            ],
+            env=hydra_env(""),
+            stdin=subprocess.DEVNULL,
+            stdout=fh,
+            stderr=fh,
+            start_new_session=True,
+        )
+    try:
+        assert wait_for(
+            lambda: run_cli("daemon", "status", state_dir=root).returncode == 0,
+            timeout_s=15.0,
+        )
+        assert run_cli("daemon", "stop", state_dir=root).returncode == 0
+        assert proc.wait(timeout=10) == 0
+        with open(log) as fh:
+            imported = {
+                line.rpartition("|")[2].strip()
+                for line in fh
+                if line.startswith("import time:")
+            }
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        shutil.rmtree(root, ignore_errors=True)
+    assert ENGINE_MODULES <= imported
+    assert not imported & NOT_SERVING, sorted(imported & NOT_SERVING)
 
 
 # -- run in the foreground ----------------------------------------------------------

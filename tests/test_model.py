@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hydra.daemon import DaemonConfig
 from hydra.model import (
     ContainerRecord,
     ContainerSpec,
@@ -317,3 +318,165 @@ class TestContainerRecord:
         record.reset_for_relaunch()
         assert record.state.kind is StateKind.CREATED
         assert record.restart_count == 1
+
+
+SPEC = ContainerSpec(("/bin/true",))
+# Each value type built positionally and by keyword, every field given: the
+# two must agree, and each must be the type's one value for these fields.
+VALUES = {
+    "identity": (ProcessIdentity, (7, 3), {"pid": 7, "start_ticks": 3}),
+    "spec": (
+        ContainerSpec,
+        (("/bin/sh", "-c", "true"), ("A=1",), "/tmp", Isolation.NAMESPACES, False, 5),
+        {
+            "command": ("/bin/sh", "-c", "true"),
+            "env": ("A=1",),
+            "working_dir": "/tmp",
+            "isolation": Isolation.NAMESPACES,
+            "restart_on_monitor_loss": False,
+            "stop_grace_ms": 5,
+        },
+    ),
+    "state": (
+        ContainerState,
+        (StateKind.EXITED, None, 9),
+        {"kind": StateKind.EXITED, "exit_code": None, "term_signal": 9},
+    ),
+    "report": (
+        ExitReport,
+        ("a" * 16, 3, None, 5),
+        {"container_id": "a" * 16, "exit_code": 3, "term_signal": None, "finished_at": 5},
+    ),
+    "daemon_config": (
+        DaemonConfig,
+        ("/tmp/s", SupervisionMode.LAZY),
+        {"state_root": "/tmp/s", "mode": SupervisionMode.LAZY},
+    ),
+}
+
+# Values of the same type that differ from VALUES' in one field, or in the
+# two status fields, which cannot change one at a time.
+OTHERS = {
+    "identity": [(8, 3), (7, 4)],
+    "spec": [
+        (("/bin/false",), ("A=1",), "/tmp", Isolation.NAMESPACES, False, 5),
+        (("/bin/sh", "-c", "true"), (), "/tmp", Isolation.NAMESPACES, False, 5),
+        (("/bin/sh", "-c", "true"), ("A=1",), None, Isolation.NAMESPACES, False, 5),
+        (("/bin/sh", "-c", "true"), ("A=1",), "/tmp", Isolation.NONE, False, 5),
+        (("/bin/sh", "-c", "true"), ("A=1",), "/tmp", Isolation.NAMESPACES, True, 5),
+        (("/bin/sh", "-c", "true"), ("A=1",), "/tmp", Isolation.NAMESPACES, False, 6),
+    ],
+    "state": [(StateKind.EXITED, None, 15), (StateKind.EXITED, 9, None)],
+    "report": [("b" * 16, 3, None, 5), ("a" * 16, 4, None, 5), ("a" * 16, None, 3, 5),
+               ("a" * 16, 3, None, 6)],
+    "daemon_config": [("/tmp/t", SupervisionMode.LAZY), ("/tmp/s", SupervisionMode.COUPLED)],
+}
+
+
+class TestValueTypes:
+    """The contract every value type keeps: construction, validation,
+    immutability, equality and hashing."""
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_positional_and_keyword_construction_agree(self, name):
+        cls, args, kwargs = VALUES[name]
+        value = cls(*args)
+        assert value == cls(**kwargs)
+        assert hash(value) == hash(cls(**kwargs))
+        assert [getattr(value, field) for field in kwargs] == list(args)
+        assert repr(value).startswith(f"{cls.__name__}(")
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_fields_cannot_be_assigned(self, name):
+        cls, args, kwargs = VALUES[name]
+        value = cls(*args)
+        for field, old in kwargs.items():
+            with pytest.raises(AttributeError):
+                setattr(value, field, old)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_each_field_takes_part_in_equality(self, name):
+        cls, args, _ = VALUES[name]
+        value = cls(*args)
+        for other in OTHERS[name]:
+            assert cls(*other) != value and not cls(*other) == value, other
+        assert value != args and value != cls.__name__
+
+    def test_defaults(self):
+        assert ContainerSpec(("/bin/true",)) == ContainerSpec(
+            ("/bin/true",), (), None, Isolation.NONE, True, 10_000
+        )
+        assert ContainerState(StateKind.RUNNING) == ContainerState(StateKind.RUNNING, None, None)
+        assert DaemonConfig("/tmp/s") == DaemonConfig("/tmp/s", SupervisionMode.DECOUPLED)
+        record = ContainerRecord(new_container_id(1), SPEC, SupervisionMode.LAZY)
+        assert record == ContainerRecord(
+            new_container_id(1), SPEC, SupervisionMode.LAZY, ContainerState.created(),
+            None, None, None, None, None, 0, False,
+        )
+
+    def test_coercion(self):
+        spec = ContainerSpec(["/bin/true"], ["A=1"], isolation="namespaces")
+        assert spec.command == ("/bin/true",) and spec.env == ("A=1",)
+        assert spec.isolation is Isolation.NAMESPACES
+        assert ContainerState("running").kind is StateKind.RUNNING
+        assert DaemonConfig("/tmp/s", "coupled").mode is SupervisionMode.COUPLED
+        with pytest.raises(ValueError):
+            ContainerSpec(("/bin/true",), isolation="chroot")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ProcessIdentity(0, 1), "pid must be positive, got 0"),
+            (lambda: ProcessIdentity(pid=-5, start_ticks=1), "pid must be positive, got -5"),
+            (lambda: ProcessIdentity(1, -1), "start_ticks must be >= 0, got -1"),
+            (lambda: ContainerSpec(()), "command must be a non-empty argv list"),
+            (lambda: ContainerSpec(command=("",)), "command must be a non-empty argv list"),
+            (
+                lambda: ContainerSpec(("/bin/true",), working_dir="tmp/x"),
+                "working_dir must be absolute, got 'tmp/x'",
+            ),
+            (
+                lambda: ContainerSpec(("/bin/true",), ("NOVALUE",)),
+                "env entry 'NOVALUE' is not KEY=VALUE",
+            ),
+            (
+                lambda: ContainerState(StateKind.EXITED),
+                "Exited needs exactly one of exit_code / term_signal",
+            ),
+            (
+                lambda: ContainerState(StateKind.EXITED, exit_code=0, term_signal=9),
+                "Exited needs exactly one of exit_code / term_signal",
+            ),
+            (
+                lambda: ContainerState(StateKind.RUNNING, exit_code=0),
+                "running state carries no exit status",
+            ),
+            (
+                lambda: ExitReport("a" * 16, None, None, 0),
+                "ExitReport needs exactly one of exit_code / term_signal",
+            ),
+            (
+                lambda: ExitReport("a" * 16, 0, 9, 0),
+                "ExitReport needs exactly one of exit_code / term_signal",
+            ),
+            (lambda: ExitReport("nope", 0, None, 0), "bad container id 'nope'"),
+            (lambda: ExitReport("a" * 16, 0, None, -1), "finished_at must be >= 0, got -1"),
+        ],
+    )
+    def test_invalid_values_raise_the_same_error(self, build, message):
+        with pytest.raises(InvalidSpec) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_record_is_mutable_and_unhashable(self):
+        record = ContainerRecord(new_container_id(1), SPEC, SupervisionMode.LAZY)
+        clone = ContainerRecord.from_dict(record.to_dict())
+        assert clone == record
+        clone.restart_count = 2
+        assert clone != record
+        with pytest.raises(TypeError):
+            hash(record)
