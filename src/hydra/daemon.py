@@ -963,6 +963,7 @@ class Daemon:
 
     async def _op_stop(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._settled(request)
+        grace_ms = self._grace_ms(request, record)
         kind = record.state.kind
         if kind is StateKind.EXITED:
             return {"ok": True, "id": record.id, "already": "exited"}
@@ -971,13 +972,17 @@ class Daemon:
             return {"ok": True, "id": record.id, "already": "stopping"}
         if kind is not StateKind.RUNNING:
             raise ApiError("invalid_state", f"{record.id} is {kind.value}")
-        self._begin_stop(record, self._grace_ms(request, record))
+        self._begin_stop(record, grace_ms)
         return {"ok": True, "id": record.id}
 
     @staticmethod
     def _grace_ms(request: dict[str, Any], record: ContainerRecord) -> int:
         grace_ms = request.get("grace_ms")  # 0 is a valid grace: kill at once
-        return record.spec.stop_grace_ms if grace_ms is None else int(grace_ms)
+        if grace_ms is None:
+            return record.spec.stop_grace_ms
+        if type(grace_ms) is not int or grace_ms < 0:
+            raise ApiError("invalid_request", f"grace_ms must be an integer >= 0, got {grace_ms!r}")
+        return grace_ms
 
     def _begin_stop(self, record: ContainerRecord, grace_ms: int) -> None:
         record.advance(ContainerState.stopping())
@@ -1030,9 +1035,9 @@ class Daemon:
         record = self._settled(request)
         if record.state.kind not in _LIVE_KINDS:
             raise ApiError("invalid_state", f"{record.id} is {record.state.kind.value}")
-        signum = int(request.get("signum") or 0)
-        if not 0 < signum < signal.NSIG:
-            raise ApiError("invalid_request", f"bad signal number {signum}")
+        signum = request.get("signum")
+        if type(signum) is not int or not 0 < signum < signal.NSIG:
+            raise ApiError("invalid_request", f"bad signal number {signum!r}")
         delivered = (
             sandbox.signal_group(record.container.pid, signum)
             if record.container is not None

@@ -1,11 +1,13 @@
 """The per-container supervisor process.
 
 A monitor owns exactly one container: it spawns it, reports the launch to
-the daemon, pumps the container's stdout/stderr into the framed log file and
-any attached clients, serves the per-container socket (attach/exec/wait/
-logs), and on container exit durably writes the exit file before ringing the
-daemon's doorbell signal. It is stateless beyond its boot arguments, so no
-daemon crash, restart, or upgrade changes its behavior.
+the daemon, pumps the container's stdout/stderr into the framed log file,
+serves the per-container socket (attach/exec/wait/logs), and on container
+exit durably writes the exit file before ringing the daemon's doorbell
+signal. Every attach and logs stream reads that log file from its own
+offset, so a slow client falls behind in the file, not in the monitor's
+memory. A monitor is stateless beyond its boot arguments, so no daemon
+crash, restart, or upgrade changes its behavior.
 
 This module also holds the daemon-side fork choreography that turns a launch
 request into a running monitor (single fork for lazy/coupled modes, double
@@ -20,14 +22,13 @@ the daemon, launches later monitors from the new code.
 from __future__ import annotations
 
 import asyncio
-import collections
 import contextlib
 import gc
 import os
 import signal
 import sys
 import traceback
-from collections.abc import Awaitable, Callable
+from collections.abc import Awaitable, Callable, Coroutine
 from typing import Any, NamedTuple
 
 from . import sandbox
@@ -309,44 +310,24 @@ def reap(pid: int) -> asyncio.Future[int]:
 # The monitor process
 
 
-class _Sink:
-    """One streaming client; can buffer while a log replay is in flight."""
-
-    def __init__(self, writer: asyncio.StreamWriter, *, buffering: bool = False):
-        self.writer = writer
-        self.backlog: collections.deque[bytes] | None = (
-            collections.deque() if buffering else None
-        )
-
-    def send(self, frame: bytes) -> None:
-        if self.backlog is not None:
-            self.backlog.append(frame)
-        elif not self.writer.is_closing():
-            self.writer.write(frame)
-
-    def release_backlog(self) -> None:
-        assert self.backlog is not None
-        while self.backlog:
-            if not self.writer.is_closing():
-                self.writer.write(self.backlog.popleft())
-            else:
-                self.backlog.clear()
-        self.backlog = None
-
-
 class Monitor:
     def __init__(self, boot: MonitorBootArgs):
         self.boot = boot
         self.layout = resolve_layout(boot.state_root)
         self.layout.container_dir(boot.container_id).mkdir(mode=0o700, exist_ok=True)
-        self.sinks: set[_Sink] = set()
-        self.wait_futures: list[asyncio.Future[ExitReport]] = []
         self.exit_report: ExitReport | None = None
-        # Set once the exit notice went out: the end of every live stream.
-        self.notice_sent = asyncio.Event()
         self.connections = 0
         self.conn_tasks: set[asyncio.Task] = set()
         self.log_fh = open(self.layout.log_path(boot.container_id), "ab")
+        # The end of what this monitor wrote; a later start of the same id
+        # appends its own output past it once this container has exited.
+        self.log_end = self.log_fh.tell()
+        # The log is whole and the exit file written: streams end, waiters
+        # answer.
+        self.finished = False
+        # Set, and replaced, whenever the log grows or is whole; every
+        # parked stream and waiter waits on it.
+        self.changed = asyncio.Event()
         self.stdin_writer: asyncio.StreamWriter | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -397,8 +378,8 @@ class Monitor:
             code = 1  # leave no false doorbell; the daemon's pidfd watch takes over
         else:
             self._ring_daemon()
-        self._finish_waiters(report)
-        self._broadcast_exit_notice(report)
+        self.finished = True
+        self._wake()
 
         # A client that learned of this socket before the exit may dial in
         # only now: keep answering (wait, ping, logs) for the grace. An rm
@@ -406,8 +387,8 @@ class Monitor:
         await asyncio.sleep(_SHUTDOWN_GRACE_S)
         server.close()
         await server.wait_closed()
-        # Parked connections (wait repliers, attach holders) were unblocked by
-        # the broadcast; let them flush their last writes, cancel stragglers.
+        # Parked streams and waiters were woken at the exit; let them send
+        # what they still owe, cancel stragglers.
         if self.conn_tasks:
             _, pending = await asyncio.wait(
                 self.conn_tasks, timeout=_SHUTDOWN_GRACE_S
@@ -485,29 +466,17 @@ class Monitor:
         with contextlib.suppress(ProcessLookupError, PermissionError):
             os.kill(current.pid, EXIT_NOTIFY)
 
-    def _finish_waiters(self, report: ExitReport) -> None:
-        for future in self.wait_futures:
-            if not future.done():
-                future.set_result(report)
-        self.wait_futures.clear()
-
-    def _broadcast_exit_notice(self, report: ExitReport) -> None:
-        frame = _exit_notice(report)
-        for sink in list(self.sinks):
-            sink.send(frame)
-            # A sink mid-replay gets the notice via its backlog; its own task
-            # closes the connection once the backlog is flushed.
-            if sink.backlog is None and not sink.writer.is_closing():
-                sink.writer.close()
-        self.sinks.clear()
-        self.notice_sent.set()
+    def _wake(self) -> None:
+        """Wake every parked stream and waiter: the log grew, or is whole."""
+        self.changed.set()
+        self.changed = asyncio.Event()
 
     async def _capture(self, frame: bytes) -> None:
-        """Container output: into the log, then to every streaming client."""
+        """Container output: into the log, which every stream reads."""
         self.log_fh.write(frame)
         self.log_fh.flush()
-        for sink in list(self.sinks):
-            sink.send(frame)
+        self.log_end += len(frame)
+        self._wake()
 
     # -- per-connection API ---------------------------------------------------
 
@@ -578,13 +547,10 @@ class Monitor:
         }
 
     async def _op_wait(self, writer: asyncio.StreamWriter) -> None:
-        if self.exit_report is None:
-            future: asyncio.Future[ExitReport] = asyncio.get_running_loop().create_future()
-            self.wait_futures.append(future)
-            report = await future
-        else:
-            report = self.exit_report
-        await self._reply(writer, {"ok": True, **self._report_fields(report)})
+        while not self.finished:
+            await self.changed.wait()
+        assert self.exit_report is not None
+        await self._reply(writer, {"ok": True, **self._report_fields(self.exit_report)})
 
     async def _op_attach(
         self,
@@ -595,64 +561,32 @@ class Monitor:
     ) -> None:
         """Bridge the client to the container's stdio.
 
-        With replay (what a foreground `run` asks for), the captured log is
-        streamed first so a command that finished before the client dialed
-        in still shows its output; a plain attach is live-only and rejects
-        an exited container.
+        With replay (what a foreground `run` asks for), the stream starts at
+        the top of the captured log, so a command that finished before the
+        client dialed in still shows its output; a plain attach starts at
+        the log's end and rejects an exited container.
         """
         if self.exit_report is not None and not replay:
             await self._reply(writer, {"ok": False, "error": "container_not_running"})
             return
+        start = 0 if replay else self.log_end
         await self._reply(writer, {"ok": True})
-        sink: _Sink | None = None
-        if not self.notice_sent.is_set():
-            # Buffer live frames during a replay; add + snapshot happen in
-            # one loop step so nothing is lost or duplicated at the seam.
-            sink = _Sink(writer, buffering=replay)
-            self.sinks.add(sink)
-        if replay:
-            if not await self._replay_snapshot(writer):
-                if sink is not None:
-                    self.sinks.discard(sink)
-                return
-            if sink is None:
-                writer.write(_exit_notice(self.exit_report))
-                return
-            sink.release_backlog()
-            if self.notice_sent.is_set():
-                return  # the notice landed mid-replay and left via backlog
-        assert sink is not None and self.stdin_writer is not None
-        try:
-            await _feed_stdin(reader, self.stdin_writer)
-            await self._attach_eof(writer)
-        except FrameError:
-            pass
-        finally:
-            self.sinks.discard(sink)
+        await _first_of(self._send_log(writer, start), self._feed_container(reader))
 
-    async def _attach_eof(self, writer: asyncio.StreamWriter) -> None:
-        """The client half-closed its write side: end of stdin.
+    async def _feed_container(self, reader: asyncio.StreamReader) -> None:
+        """Write the client's stdin frames into the container's stdin.
 
-        Close the container's stdin so pipe readers see EOF, but keep the
-        sink registered and stay on the connection until the exit notice has
-        gone out (the broadcast closes the writer): not at the container's
-        exit, but once its last output has drained. A client that vanished
-        outright instead of half-closing is caught by wait_closed once any
-        write to it fails; a silent container can keep this handler parked
-        until exit, which costs one connection slot and nothing else.
+        At the client's half-close, close the container's stdin so pipe
+        readers see EOF, and stay: the stream goes on to the exit notice. A
+        malformed stream or a reset ends the attach.
         """
         stdin = self.stdin_writer
-        if stdin is not None and not stdin.is_closing():
-            stdin.close()
-        notice_task = asyncio.create_task(self.notice_sent.wait())
-        closed_task = asyncio.create_task(writer.wait_closed())
-        try:
-            await asyncio.wait(
-                {notice_task, closed_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            notice_task.cancel()
-            closed_task.cancel()
+        assert stdin is not None
+        with contextlib.suppress(ConnectionError, FrameError):
+            await _feed_stdin(reader, stdin)
+            if not stdin.is_closing():
+                stdin.close()
+            await asyncio.Event().wait()
 
     async def _op_logs(
         self,
@@ -661,55 +595,51 @@ class Monitor:
         *,
         follow: bool,
     ) -> None:
+        end = self.log_end
         await self._reply(writer, {"ok": True})
-        sink: _Sink | None = None
-        if follow and not self.notice_sent.is_set():
-            sink = _Sink(writer, buffering=True)
-            self.sinks.add(sink)
-        if not await self._replay_snapshot(writer):
-            if sink is not None:
-                self.sinks.discard(sink)
-            return
-        if sink is None:
-            if follow:  # the notice has gone out already
-                writer.write(_exit_notice(self.exit_report))
-            return
-        sink.release_backlog()
-        # Live now; hold the connection until the exit notice has gone out
-        # (through the backlog or the broadcast) or the client hangs up.
-        notice_task = asyncio.create_task(self.notice_sent.wait())
-        hangup_task = asyncio.create_task(drain_until_eof(reader))
-        try:
-            await asyncio.wait(
-                {notice_task, hangup_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            notice_task.cancel()
-            hangup_task.cancel()
-            self.sinks.discard(sink)
+        if follow:
+            # A follower that hangs up frees its slot at once, output or not.
+            await _first_of(self._send_log(writer, 0), drain_until_eof(reader))
+        else:
+            await self._send_log(writer, 0, end)
 
-    async def _replay_snapshot(self, writer: asyncio.StreamWriter) -> bool:
-        """Stream the log captured so far; False if the client hung up.
+    async def _send_log(
+        self, writer: asyncio.StreamWriter, start: int, stop: int | None = None
+    ) -> None:
+        """Send the captured log from offset start up to stop; without stop,
+        follow it to the end of this monitor's output, then send the exit
+        notice.
 
-        The snapshot boundary is frozen before the first await, in the same
-        loop step the caller registered its (buffering) sink, so live frames
-        land in exactly one of the two streams.
+        Every attach and logs stream is this loop, each at its own offset:
+        replayed and live output meet at one offset, and a slow client falls
+        behind in the file, not in the monitor's memory. It reads no further
+        than log_end, never to the file's end, which a later start of the
+        same id extends.
         """
-        self.log_fh.flush()
-        snapshot_size = os.fstat(self.log_fh.fileno()).st_size
+        offset = start
         try:
-            with open(self.layout.log_path(self.boot.container_id), "rb") as replay:
-                remaining = snapshot_size
-                while remaining > 0:
-                    chunk = replay.read(min(_PUMP_CHUNK, remaining))
-                    if not chunk:
-                        break
-                    remaining -= len(chunk)
+            path = self.layout.log_path(self.boot.container_id)
+            with open(path, "rb", buffering=0) as log:
+                log.seek(offset)
+                while True:
+                    end = self.log_end if stop is None else stop
+                    if offset >= end:
+                        if stop is not None:
+                            return
+                        if self.finished:
+                            break
+                        await self.changed.wait()
+                        continue
+                    chunk = log.read(min(_PUMP_CHUNK, end - offset))
+                    if not chunk:  # the file was cut short under us
+                        return
+                    offset += len(chunk)
                     writer.write(chunk)
                     await writer.drain()
-        except (ConnectionError, OSError):
-            return False
-        return True
+        except OSError:  # the client hung up, or the log is gone
+            return
+        assert self.exit_report is not None
+        writer.write(_exit_notice(self.exit_report))
 
     async def _op_exec(
         self,
@@ -720,16 +650,22 @@ class Monitor:
         if self.exit_report is not None:
             await self._reply(writer, {"ok": False, "error": "container_not_running"})
             return
-        command = tuple(request.get("command") or ())
-        if not command or not command[0]:
+        command = request.get("command")
+        env = request.get("env") or self.boot.spec.env
+        if not (
+            _strings(command)
+            and command
+            and command[0]
+            and _strings(env)
+            and all("=" in entry for entry in env)
+        ):
             await self._reply(writer, {"ok": False, "error": "bad_command"})
             return
-        env = tuple(request.get("env") or self.boot.spec.env)
         boot = self.boot
         try:
             handle = sandbox.spawn_exec(
-                command,
-                env,
+                tuple(command),
+                tuple(env),
                 pgid=boot.pgid,
                 ns_of_pid=(
                     boot.container.pid
@@ -771,6 +707,25 @@ class Monitor:
         with contextlib.suppress(ConnectionError):
             writer.write(_exit_notice(report))
             await writer.drain()
+
+
+def _strings(value: Any) -> bool:
+    """A list or tuple of strings: argv or KEY=VALUE entries, as ContainerSpec
+    takes them."""
+    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+
+
+async def _first_of(*coros: Coroutine[Any, Any, None]) -> None:
+    """Run coros side by side until the first of them ends; cancel the rest.
+
+    Each handles its own errors: none is left for the caller.
+    """
+    tasks = [asyncio.create_task(coro) for coro in coros]
+    try:
+        await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
+    finally:
+        for task in tasks:
+            task.cancel()
 
 
 def _exit_notice(report: ExitReport) -> bytes:

@@ -76,6 +76,22 @@ def test_run_rejects_bad_requests(engine):
         engine.run(["sleep", "60"], container_id=taken)
     assert info.value.code == "id_in_use"
 
+    # A malformed field is the client's error, and the container is left
+    # as it was: a negative grace does not skip the SIGTERM grace.
+    for op, fields in (
+        ("signal", {"signum": "x"}),
+        ("signal", {"signum": True}),
+        ("signal", {"signum": 0}),
+        ("stop", {"grace_ms": "x"}),
+        ("stop", {"grace_ms": -5}),
+        ("restart", {"grace_ms": "x"}),
+        ("restart", {"grace_ms": 1.5}),
+    ):
+        with pytest.raises(RequestFailed) as info:
+            engine.client.request(op, id=taken, timeout=10.0, **fields)
+        assert info.value.code == "invalid_request", (op, fields)
+    assert one_row(engine, taken)["state"] == "running"
+
 
 def test_spawn_failure_recorded_as_exit(engine):
     with pytest.raises(RequestFailed) as info:

@@ -47,6 +47,21 @@ def log_contains(engine, container_id: str, needle: bytes) -> bool:
         return False
 
 
+def log_size(engine, container_id: str) -> int:
+    try:
+        return engine.layout.log_path(container_id).stat().st_size
+    except OSError:
+        return 0
+
+
+def private_dirty_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/smaps_rollup") as fh:
+        for line in fh:
+            if line.startswith("Private_Dirty:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no Private_Dirty for {pid}")
+
+
 def test_ping_reports_identity(engine):
     reply = engine.run(["sleep", "30"])
     with MonitorStream(reply["monitor_sock"], {"op": "ping"}) as stream:
@@ -145,6 +160,83 @@ def test_half_closed_attach_gets_the_notice_while_output_drains(engine):
         frames = collect_until_exit(stream)
     assert stream_bytes(frames, FRAME_STDOUT) == b"two\n"
     assert exit_code_from_notice(exit_payload(frames)) == 4
+
+
+def test_stalled_clients_do_not_grow_the_monitor(engine):
+    """A slow client falls behind in the log file, not in the monitor's heap."""
+    size = 64 << 20
+    reply = engine.run(["sh", "-c", f"read x; head -c {size} /dev/zero; sleep 60"])
+    sock = reply["monitor_sock"]
+    with MonitorStream(sock, {"op": "attach"}) as attach, MonitorStream(
+        sock, {"op": "logs", "follow": True}
+    ):
+        before_kb = private_dirty_kb(reply["monitor_pid"])
+        attach.send_stdin(b"go\n")
+        # Neither client reads while the container writes it all.
+        assert wait_for(lambda: log_size(engine, reply["id"]) > size, timeout_s=60.0)
+        time.sleep(0.2)
+        grown_mb = (private_dirty_kb(reply["monitor_pid"]) - before_kb) / 1024
+    assert grown_mb < 16, f"monitor grew {grown_mb:.0f} MB behind two stalled clients"
+
+
+def test_streams_joining_mid_output_get_every_line_once(engine):
+    count = 2000
+    script = (
+        "i=0; while [ $i -lt %d ]; do printf '%%05d %%0200d\\n' $i 0; "
+        "i=$((i+1)); [ $((i %% 100)) -eq 0 ] && sleep 0.02; done; exit 0" % count
+    )
+    reply = engine.run(["sh", "-c", script])
+    assert wait_for(lambda: log_contains(engine, reply["id"], b"00300 "))
+    sock = reply["monitor_sock"]
+    with MonitorStream(sock, {"op": "logs", "follow": True}) as logs, MonitorStream(
+        sock, {"op": "attach", "replay": True}
+    ) as attach:
+        streams = [collect_until_exit(logs), collect_until_exit(attach)]
+    expected = b"".join(b"%05d %s\n" % (i, b"0" * 200) for i in range(count))
+    for frames in streams:
+        assert stream_bytes(frames, FRAME_STDOUT) == expected
+        assert frames[-1][0] == FRAME_EXIT_NOTICE
+        assert exit_code_from_notice(exit_payload(frames)) == 0
+
+
+def test_follow_reads_only_its_own_incarnation(engine):
+    """A start inside the after-exit grace appends to the same log; a slow
+    follower of the first monitor gets the first output and notice only."""
+    size = 4 << 20
+    mark = engine.layout.root / "second"
+    script = (
+        f"if [ -e {mark} ]; then echo second; exit 5; fi; "
+        f"touch {mark}; head -c {size} /dev/zero; exit 3"
+    )
+    reply = engine.client.request(
+        "run", timeout=30.0, spec={"command": ["sh", "-c", script]}
+    )
+    # The follower reads nothing until both incarnations have exited.
+    with MonitorStream(reply["monitor_sock"], {"op": "logs", "follow": True}) as stream:
+        assert engine.client.request("wait", id=reply["id"], timeout=15.0)["exit_code"] == 3
+        engine.client.request("start", id=reply["id"], timeout=30.0)
+        assert engine.client.request("wait", id=reply["id"], timeout=15.0)["exit_code"] == 5
+        assert log_contains(engine, reply["id"], b"second\n")
+        frames = collect_until_exit(stream)
+    assert stream_bytes(frames, FRAME_STDOUT) == bytes(size)
+    assert exit_code_from_notice(exit_payload(frames)) == 3
+
+
+def test_malformed_exec_gets_a_reply(engine):
+    reply = engine.run(["sleep", "60"])
+    sock = reply["monitor_sock"]
+    for fields in (
+        {"command": 5},
+        {"command": "true"},
+        {"command": [1]},
+        {"command": ["true"], "env": 7},
+        {"command": ["true"], "env": ["NOVALUE"]},
+    ):
+        with pytest.raises(RequestFailed) as info:
+            MonitorStream(sock, {"op": "exec", **fields})
+        assert info.value.code == "bad_command", fields
+    with MonitorStream(sock, {"op": "exec", "command": ["true"]}) as stream:
+        assert exit_code_from_notice(exit_payload(collect_until_exit(stream))) == 0
 
 
 def test_wait_reports_exit_code(engine):
