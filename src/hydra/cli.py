@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -316,13 +317,15 @@ def _daemon_start(args: argparse.Namespace, layout: StateDirLayout, client: Daem
 
 
 def _wait_pid_gone(pid: int, *, timeout_s: float) -> None:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except OSError:
-            return
-        time.sleep(0.02)
+    """Return once pid's process has exited, or after timeout_s."""
+    try:
+        fd = os.pidfd_open(pid)
+    except OSError:  # already gone
+        return
+    try:
+        select.select([fd], [], [], timeout_s)  # a pidfd reads ready at exit
+    finally:
+        os.close(fd)
 
 
 # -- run / attach / exec -----------------------------------------------------

@@ -142,9 +142,13 @@ class MonitorStream:
     def __init__(self, sock_path: str | Path, request: dict[str, Any],
                  *, timeout: float | None = 10.0):
         self.sock = _connect(sock_path)
-        self.channel = _LineChannel(self.sock, sock_path)
-        self.channel.send_line(request)
-        self.reply = _check(self.channel.read_line(timeout))
+        try:
+            self.channel = _LineChannel(self.sock, sock_path)
+            self.channel.send_line(request)
+            self.reply = _check(self.channel.read_line(timeout))
+        except BaseException:  # the caller gets no object to close
+            self.sock.close()
+            raise
 
     def frames(self, timeout: float | None = None) -> Iterator[tuple[int, bytes]]:
         """Yield (tag, payload) until the monitor closes the stream."""

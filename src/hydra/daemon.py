@@ -64,7 +64,6 @@ from .model import (
     now_ms,
 )
 from .monitor import (
-    LaunchHandle,
     drain_until_eof,
     fork_monitor,
     read_spawn_failure,
@@ -218,9 +217,10 @@ def decide(facts: Facts) -> tuple[Step, ...]:
 def _probe(identity: ProcessIdentity | None) -> Proc:
     if identity is None:
         return Proc.NONE
-    if not sandbox.is_alive(identity):
+    state = sandbox.state_of(identity)
+    if state is None:
         return Proc.DEAD
-    return Proc.STOPPED if sandbox.proc_state(identity.pid) == "T" else Proc.RUNNING
+    return Proc.STOPPED if state == "T" else Proc.RUNNING
 
 
 class Daemon:
@@ -745,12 +745,14 @@ class Daemon:
         launched: asyncio.Future[dict[str, Any]] = loop.create_future()
         self._pending_launch[record.id] = (token, launched)
         self._no_launch_pending.clear()
-        handle: LaunchHandle | None = None
+        err_fd: int | None = None
         try:
-            handle = fork_monitor(record.id, self.layout, self.config.mode, record.spec, token)
+            child_pid, err_fd = fork_monitor(
+                record.id, self.layout, self.config.mode, record.spec, token
+            )
             # Reaps the direct child whenever it dies, after this returns
             # too: P1 in decoupled mode, the monitor itself otherwise.
-            forked = reap(handle.child_pid)
+            forked = reap(child_pid)
             done, _ = await asyncio.wait(
                 {launched, forked},
                 timeout=_HANDSHAKE_TIMEOUT_MS / 1000.0,
@@ -761,14 +763,14 @@ class Daemon:
                 return None
             if forked in done:
                 status = forked.result()
-                detail = read_spawn_failure(handle.err_fd) or "monitor died at launch"
+                detail = read_spawn_failure(err_fd) or "monitor died at launch"
                 code = os.WEXITSTATUS(status) if os.WIFEXITED(status) else 126
                 return ApiError("spawn_error", detail, exit_code=code or 126)
             # Timeout: the forked child is still out there; kill the direct
             # child (harmless post-handshake in decoupled mode, where it is
             # already gone) and let a late handshake be scavenged.
             with contextlib.suppress(ProcessLookupError):
-                os.kill(handle.child_pid, signal.SIGKILL)
+                os.kill(child_pid, signal.SIGKILL)
             return ApiError(
                 "handshake_timeout",
                 f"monitor for {record.id} did not report within "
@@ -778,8 +780,8 @@ class Daemon:
             self._pending_launch.pop(record.id, None)
             if not self._pending_launch:
                 self._no_launch_pending.set()
-            if handle is not None:
-                handle.close()
+            if err_fd is not None:
+                os.close(err_fd)
 
     def _land(self, record: ContainerRecord, message: dict[str, Any]) -> None:
         """Commit the identities a launch's handshake reports."""
@@ -1173,7 +1175,7 @@ class Daemon:
     async def _op_top(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._live_record(request)
         assert record.container is not None
-        sample = sandbox.sample_proc(record.container.pid, record.container.pid)
+        sample = sandbox.sample_proc(record.container.pid)
         return {
             "ok": True,
             "id": record.id,
@@ -1194,9 +1196,9 @@ class Daemon:
         record = self._live_record(request)
         assert record.container is not None
         pid = record.container.pid
-        first = sandbox.sample_proc(pid, pid)
+        first = sandbox.sample_proc(pid)
         await asyncio.sleep(0.5)
-        second = sandbox.sample_proc(pid, pid)
+        second = sandbox.sample_proc(pid)
         ticks0 = sum(row.cpu_ticks for row in first.rows)
         ticks1 = sum(row.cpu_ticks for row in second.rows)
         elapsed_s = max((second.sampled_at - first.sampled_at) / 1000.0, 1e-3)

@@ -166,17 +166,33 @@ class ContainerSpec(Value):
         restart_on_monitor_loss: bool = True,
         stop_grace_ms: int = 10_000,
     ) -> None:
-        command, env, isolation = tuple(command), tuple(env), Isolation(isolation)
-        if not command or not command[0]:
+        # Checked, never coerced: a spec arrives from clients and record files.
+        if not (
+            isinstance(command, (list, tuple))
+            and command
+            and command[0]
+            and all(isinstance(arg, str) for arg in command)
+        ):
             raise InvalidSpec("command must be a non-empty argv list")
+        if not isinstance(env, (list, tuple)):
+            raise InvalidSpec(f"env must be a list of KEY=VALUE entries, got {type(env).__name__}")
         for entry in env:
-            if "=" not in entry:
+            if not isinstance(entry, str) or "=" not in entry:
                 raise InvalidSpec(f"env entry {entry!r} is not KEY=VALUE")
-        if working_dir is not None and not working_dir.startswith("/"):
+        if working_dir is not None and not (
+            isinstance(working_dir, str) and working_dir.startswith("/")
+        ):
             raise InvalidSpec(f"working_dir must be absolute, got {working_dir!r}")
-        if stop_grace_ms < 0:
-            raise InvalidSpec(f"stop_grace_ms must be >= 0, got {stop_grace_ms}")
-        self._init(command, env, working_dir, isolation, restart_on_monitor_loss, stop_grace_ms)
+        if type(restart_on_monitor_loss) is not bool:
+            raise InvalidSpec(
+                f"restart_on_monitor_loss must be true or false, got {restart_on_monitor_loss!r}"
+            )
+        if type(stop_grace_ms) is not int or stop_grace_ms < 0:
+            raise InvalidSpec(f"stop_grace_ms must be an integer >= 0, got {stop_grace_ms!r}")
+        self._init(
+            tuple(command), tuple(env), working_dir, Isolation(isolation),
+            restart_on_monitor_loss, stop_grace_ms,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -191,12 +207,12 @@ class ContainerSpec(Value):
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> ContainerSpec:
         return cls(
-            command=tuple(data["command"]),
-            env=tuple(data.get("env") or ()),
+            command=data["command"],
+            env=data.get("env") or (),
             working_dir=data.get("working_dir"),
             isolation=Isolation(data.get("isolation", "none")),
-            restart_on_monitor_loss=bool(data.get("restart_on_monitor_loss", True)),
-            stop_grace_ms=int(data.get("stop_grace_ms", 10_000)),
+            restart_on_monitor_loss=data.get("restart_on_monitor_loss", True),
+            stop_grace_ms=data.get("stop_grace_ms", 10_000),
         )
 
 

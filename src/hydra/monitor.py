@@ -6,8 +6,10 @@ serves the per-container socket (attach/exec/wait/logs), and on container
 exit durably writes the exit file before ringing the daemon's doorbell
 signal. Every attach and logs stream reads that log file from its own
 offset, so a slow client falls behind in the file, not in the monitor's
-memory. A monitor is stateless beyond its boot arguments, so no daemon
-crash, restart, or upgrade changes its behavior.
+memory. A monitor knows only what its fork hands it (the container id, the
+state directory's layout, the spec, the spawned container's handle and the
+launch token) and what it serves since, so no daemon crash, restart, or
+upgrade changes its behavior.
 
 This module also holds the daemon-side fork choreography that turns a launch
 request into a running monitor (single fork for lazy/coupled modes, double
@@ -29,14 +31,14 @@ import signal
 import sys
 import traceback
 from collections.abc import Awaitable, Callable, Coroutine
-from typing import Any, NamedTuple
+from typing import Any
 
 from . import sandbox
 from .model import (
     ContainerSpec,
     ExitReport,
+    InvalidSpec,
     Isolation,
-    ProcessIdentity,
     SupervisionMode,
 )
 from .protocol import (
@@ -56,15 +58,12 @@ from .protocol import (
     encode_frame,
     encode_message,
     read_pid_file,
-    resolve_layout,
     write_exit_report,
 )
 
 __all__ = [
     "MAX_MONITOR_CONNECTIONS",
     "MONITOR_COMM_PREFIX",
-    "MonitorBootArgs",
-    "LaunchHandle",
     "fork_monitor",
     "read_spawn_failure",
     "drain_until_eof",
@@ -82,43 +81,8 @@ _DRAIN_AFTER_EXIT_S = 0.5
 _SHUTDOWN_GRACE_S = 2.0
 
 
-class MonitorBootArgs(NamedTuple):
-    """Everything a monitor needs, handed over in memory across the fork.
-
-    The monitor uses nothing else of the daemon's memory; these values plus
-    the state directory are its whole world.
-    """
-
-    container_id: str
-    state_root: str
-    spec: ContainerSpec
-    container: ProcessIdentity
-    pgid: int
-    stdin_fd: int
-    stdout_fd: int
-    stderr_fd: int
-    parent_to_kill: int | None
-    # Echoed in the Launched handshake so the daemon can tell this launch
-    # attempt apart from a stale one for the same container id.
-    launch_token: str = ""
-
-
 # ---------------------------------------------------------------------------
 # Daemon-side launch choreography
-
-
-class LaunchHandle(NamedTuple):
-    """The daemon's view of an in-flight launch: its direct child and the
-    pipe any spawn failure is reported through."""
-
-    child_pid: int
-    err_fd: int
-
-    def close(self) -> None:
-        try:
-            os.close(self.err_fd)
-        except OSError:
-            pass
 
 
 def fork_monitor(
@@ -126,9 +90,11 @@ def fork_monitor(
     layout: StateDirLayout,
     mode: SupervisionMode,
     spec: ContainerSpec,
-    launch_token: str = "",
-) -> LaunchHandle:
-    """Fork toward a monitor for one container; returns immediately.
+    launch_token: str,
+) -> tuple[int, int]:
+    """Fork toward a monitor for one container; returns immediately, with
+    the pid of the direct child and the read end of the pipe any spawn
+    failure is reported through, which the caller closes.
 
     decoupled: daemon -> P1 -> P2; P2 starts a session, spawns the sandbox,
     and becomes the monitor. The monitor later kills P1, orphaning P2 so
@@ -136,14 +102,16 @@ def fork_monitor(
     fork; the monitor stays a daemon child.
 
     Success is learned via the monitor's Launched handshake on the daemon
-    socket, never from here. Spawn failures arrive on err_fd and via the
-    child's exit status.
+    socket, never from here. Spawn failures arrive on the pipe and via the
+    child's exit status. The launch token is echoed in the handshake, so the
+    daemon can tell this launch attempt apart from a stale one for the same
+    container id.
     """
     err_r, err_w = os.pipe()
     pid1 = os.fork()
     if pid1 != 0:
         os.close(err_w)
-        return LaunchHandle(child_pid=pid1, err_fd=err_r)
+        return pid1, err_r
 
     # Child: never return into the daemon's stack; only os._exit.
     try:
@@ -208,24 +176,13 @@ def _become_monitor(
     code = 1
     try:
         sandbox.set_process_name(f"{MONITOR_COMM_PREFIX}{container_id}")
-        boot = MonitorBootArgs(
-            container_id=container_id,
-            state_root=str(layout.root),
-            spec=spec,
-            container=handle.container,
-            pgid=handle.pgid,
-            stdin_fd=handle.stdin_w,
-            stdout_fd=handle.stdout_r,
-            stderr_fd=handle.stderr_r,
-            parent_to_kill=parent_to_kill,
-            launch_token=launch_token,
-        )
         # The daemon's objects stay untouched: its frames never unwind, and
         # frozen, the collector neither finalizes them (a socket's would
         # close a descriptor number the monitor has reused) nor writes to
         # their pages, which stay shared with the daemon.
         gc.freeze()
-        code = asyncio.run(Monitor(boot).run())
+        monitor = Monitor(container_id, layout, spec, handle, parent_to_kill, launch_token)
+        code = asyncio.run(monitor.run())
     except BaseException:  # noqa: BLE001 - must not unwind into the daemon's stack
         traceback.print_exc()  # stderr is monitor.log by now
         sys.stderr.flush()
@@ -311,14 +268,27 @@ def reap(pid: int) -> asyncio.Future[int]:
 
 
 class Monitor:
-    def __init__(self, boot: MonitorBootArgs):
-        self.boot = boot
-        self.layout = resolve_layout(boot.state_root)
-        self.layout.container_dir(boot.container_id).mkdir(mode=0o700, exist_ok=True)
+    def __init__(
+        self,
+        container_id: str,
+        layout: StateDirLayout,
+        spec: ContainerSpec,
+        handle: sandbox.SandboxHandle,
+        parent_to_kill: int | None,
+        launch_token: str,
+    ):
+        # The daemon made the state dir's directories, the container's own
+        # included (its record is committed before any launch forks).
+        self.container_id = container_id
+        self.layout = layout
+        self.spec = spec
+        self.handle = handle
+        self.parent_to_kill = parent_to_kill
+        self.launch_token = launch_token
         self.exit_report: ExitReport | None = None
         self.connections = 0
         self.conn_tasks: set[asyncio.Task] = set()
-        self.log_fh = open(self.layout.log_path(boot.container_id), "ab")
+        self.log_fh = open(layout.log_path(container_id), "ab")
         # The end of what this monitor wrote; a later start of the same id
         # appends its own output past it once this container has exited.
         self.log_end = self.log_fh.tell()
@@ -334,15 +304,15 @@ class Monitor:
 
     async def run(self) -> int:
         loop = asyncio.get_running_loop()
-        boot = self.boot
+        handle = self.handle
         # Before anything can serve an attach or reap the container.
-        self.stdin_writer = await _open_pipe_writer(loop, boot.stdin_fd)
-        reaped = reap(boot.container.pid)
+        self.stdin_writer = await _open_pipe_writer(loop, handle.stdin_w)
+        reaped = reap(handle.container.pid)
         reaped.add_done_callback(self._container_reaped)
 
         # Serve before the handshake: the daemon's run reply names this
         # socket, so it must accept by the time any client can learn of it.
-        sock_path = self.layout.monitor_sock(boot.container_id)
+        sock_path = self.layout.monitor_sock(self.container_id)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(sock_path)
         server = await asyncio.start_unix_server(
@@ -352,15 +322,15 @@ class Monitor:
         sock_ino = os.stat(sock_path).st_ino
 
         pumps = [
-            asyncio.create_task(_pump(boot.stdout_fd, FRAME_STDOUT, self._capture)),
-            asyncio.create_task(_pump(boot.stderr_fd, FRAME_STDERR, self._capture)),
+            asyncio.create_task(_pump(handle.stdout_r, FRAME_STDOUT, self._capture)),
+            asyncio.create_task(_pump(handle.stderr_r, FRAME_STDERR, self._capture)),
         ]
 
         await self._handshake()
-        if boot.parent_to_kill is not None:
+        if self.parent_to_kill is not None:
             # Orphans us away from the daemon: init adopts this process.
             with contextlib.suppress(ProcessLookupError):
-                os.kill(boot.parent_to_kill, signal.SIGTERM)
+                os.kill(self.parent_to_kill, signal.SIGTERM)
         sandbox.release_free_heap()  # off the launch path: after the handshake
 
         await reaped  # after _container_reaped, which was added first
@@ -405,7 +375,7 @@ class Monitor:
 
     def _container_reaped(self, future: asyncio.Future[int]) -> None:
         status = future.result()
-        self.exit_report = sandbox.report_from_status(self.boot.container_id, status)
+        self.exit_report = sandbox.report_from_status(self.container_id, status)
         if self.stdin_writer is not None and not self.stdin_writer.is_closing():
             self.stdin_writer.close()
 
@@ -414,10 +384,10 @@ class Monitor:
         message = encode_message(
             {
                 "op": "launched",
-                "id": self.boot.container_id,
-                "token": self.boot.launch_token,
+                "id": self.container_id,
+                "token": self.launch_token,
                 "monitor": sandbox.current_identity().to_dict(),
-                "container": self.boot.container.to_dict(),
+                "container": self.handle.container.to_dict(),
             }
         )
         for _ in range(_HANDSHAKE_ATTEMPTS):
@@ -519,8 +489,8 @@ class Monitor:
                     writer,
                     {
                         "ok": True,
-                        "id": self.boot.container_id,
-                        "container": self.boot.container.to_dict(),
+                        "id": self.container_id,
+                        "container": self.handle.container.to_dict(),
                         "exited": self.exit_report is not None,
                     },
                 )
@@ -618,7 +588,7 @@ class Monitor:
         """
         offset = start
         try:
-            path = self.layout.log_path(self.boot.container_id)
+            path = self.layout.log_path(self.container_id)
             with open(path, "rb", buffering=0) as log:
                 log.seek(offset)
                 while True:
@@ -650,26 +620,20 @@ class Monitor:
         if self.exit_report is not None:
             await self._reply(writer, {"ok": False, "error": "container_not_running"})
             return
-        command = request.get("command")
-        env = request.get("env") or self.boot.spec.env
-        if not (
-            _strings(command)
-            and command
-            and command[0]
-            and _strings(env)
-            and all("=" in entry for entry in env)
-        ):
+        try:
+            # Checked as a container's own command and environment are.
+            spec = ContainerSpec(request.get("command"), request.get("env") or self.spec.env)
+        except InvalidSpec:
             await self._reply(writer, {"ok": False, "error": "bad_command"})
             return
-        boot = self.boot
         try:
             handle = sandbox.spawn_exec(
-                tuple(command),
-                tuple(env),
-                pgid=boot.pgid,
+                spec.command,
+                spec.env,
+                pgid=self.handle.pgid,
                 ns_of_pid=(
-                    boot.container.pid
-                    if boot.spec.isolation is Isolation.NAMESPACES
+                    self.handle.container.pid
+                    if self.spec.isolation is Isolation.NAMESPACES
                     else None
                 ),
             )
@@ -703,16 +667,10 @@ class Monitor:
             task.cancel()
         if not stdin_writer.is_closing():
             stdin_writer.close()
-        report = sandbox.report_from_status(boot.container_id, status)
+        report = sandbox.report_from_status(self.container_id, status)
         with contextlib.suppress(ConnectionError):
             writer.write(_exit_notice(report))
             await writer.drain()
-
-
-def _strings(value: Any) -> bool:
-    """A list or tuple of strings: argv or KEY=VALUE entries, as ContainerSpec
-    takes them."""
-    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
 
 
 async def _first_of(*coros: Coroutine[Any, Any, None]) -> None:

@@ -33,7 +33,6 @@ __all__ = [
     "FrameError",
     "FrameTooLarge",
     "BadTag",
-    "TruncatedStream",
     "StateDirLayout",
     "state_root",
     "resolve_layout",
@@ -45,7 +44,6 @@ __all__ = [
     "MAX_FRAME_PAYLOAD",
     "encode_frame",
     "FrameDecoder",
-    "decode_frames",
     "encode_exit_report",
     "decode_exit_line",
     "write_exit_report",
@@ -95,15 +93,6 @@ class FrameTooLarge(FrameError):
 
 class BadTag(FrameError):
     """Frame tag outside {0, 1, 2, 3}."""
-
-
-class TruncatedStream(FrameError):
-    """Byte stream ended mid-frame; carries the frames decoded so far."""
-
-    def __init__(self, frames: list[tuple[int, bytes]], tail: bytes):
-        super().__init__(f"stream truncated with {len(tail)} undecoded bytes")
-        self.frames = frames
-        self.tail = tail
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +295,6 @@ class FrameDecoder:
     def pending(self) -> bytes:
         """Bytes fed but not yet forming a complete frame."""
         return bytes(self._buf)
-
-
-def decode_frames(data: bytes) -> list[tuple[int, bytes]]:
-    """Decode a complete byte stream; TruncatedStream reports any partial tail."""
-    decoder = FrameDecoder()
-    frames = decoder.feed(data)
-    if decoder.pending:
-        raise TruncatedStream(frames, decoder.pending)
-    return frames
 
 
 # ---------------------------------------------------------------------------

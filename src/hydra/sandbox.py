@@ -3,7 +3,8 @@
 Spawns a container's first process as a process-group leader (optionally in
 fresh PID+mount+UTS namespaces), delivers group signals, answers /proc
 queries for top/stats, and provides the pid-reuse-safe liveness check used by
-every component that stores a ProcessIdentity.
+every component that stores a ProcessIdentity: one read of /proc/<pid>/stat
+tells whether that process still lives and in which state.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ __all__ = [
     "identity_of",
     "current_identity",
     "read_stat",
-    "read_start_ticks",
-    "proc_state",
+    "state_of",
     "namespaces_supported",
     "enter_namespaces_of",
     "set_process_name",
@@ -125,22 +125,10 @@ def read_stat(pid: int) -> StatRow | None:
         return None
 
 
-def read_start_ticks(pid: int) -> int | None:
-    """The process's start time in clock ticks since boot, or None if gone."""
-    row = read_stat(pid)
-    return row.start_ticks if row else None
-
-
-def proc_state(pid: int) -> str | None:
-    """The one-letter /proc state (R, S, D, T, Z, ...), or None if gone."""
-    row = read_stat(pid)
-    return row.state if row else None
-
-
 def identity_of(pid: int) -> ProcessIdentity | None:
     """Capture (pid, start_ticks) for a live process, or None if gone."""
-    ticks = read_start_ticks(pid)
-    return ProcessIdentity(pid=pid, start_ticks=ticks) if ticks is not None else None
+    row = read_stat(pid)
+    return ProcessIdentity(pid=pid, start_ticks=row.start_ticks) if row else None
 
 
 def current_identity() -> ProcessIdentity:
@@ -150,17 +138,24 @@ def current_identity() -> ProcessIdentity:
     return ident
 
 
-def is_alive(identity: ProcessIdentity) -> bool:
-    """True iff the pid exists, its start_ticks match, and it is not a zombie.
+def state_of(identity: ProcessIdentity) -> str | None:
+    """The one-letter /proc state (R, S, D, T, ...) of identity's process,
+    or None if it is gone: no such pid, another process under a reused pid,
+    or a zombie.
 
     A zombie still occupies its pid but can do no further work, so for
     supervision purposes it counts as dead; this keeps the check monotone
-    (false stays false) once the real process has terminated.
+    (gone stays gone) once the real process has terminated.
     """
     row = read_stat(identity.pid)
-    if row is None:
-        return False
-    return row.start_ticks == identity.start_ticks and row.state not in ("Z", "X")
+    if row is None or row.start_ticks != identity.start_ticks or row.state in ("Z", "X"):
+        return None
+    return row.state
+
+
+def is_alive(identity: ProcessIdentity) -> bool:
+    """True iff the pid exists, its start_ticks match, and it is not a zombie."""
+    return state_of(identity) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,6 @@ class SandboxHandle(NamedTuple):
 
     container: ProcessIdentity
     pgid: int
-    isolation: Isolation
     stdin_w: int
     stdout_r: int
     stderr_r: int
@@ -306,7 +300,7 @@ def _start(
 
     # Capture identity before anything can reap the child: even if the
     # command already ran and died, the unreaped zombie still has our ticks.
-    ticks = read_start_ticks(pid)
+    row = read_stat(pid)
     for fd in (stdin_r, stdout_w, stderr_w, err_w):
         os.close(fd)
 
@@ -326,8 +320,8 @@ def _start(
             errno=err,
         )
 
-    assert ticks is not None  # child unreaped until here, stat must exist
-    return ProcessIdentity(pid=pid, start_ticks=ticks), stdin_w, stdout_r, stderr_r
+    assert row is not None  # child unreaped until here, stat must exist
+    return ProcessIdentity(pid=pid, start_ticks=row.start_ticks), stdin_w, stdout_r, stderr_r
 
 
 @contextlib.contextmanager
@@ -364,9 +358,7 @@ def spawn(spec: ContainerSpec) -> SandboxHandle:
         container, stdin_w, stdout_r, stderr_r = _start(
             spec.command, spec.env, spec.working_dir, place
         )
-    return SandboxHandle(
-        container, container.pid, spec.isolation, stdin_w, stdout_r, stderr_r
-    )
+    return SandboxHandle(container, container.pid, stdin_w, stdout_r, stderr_r)
 
 
 def set_process_name(name: str) -> None:
@@ -430,8 +422,7 @@ def spawn_exec(
         return os.fork()  # the pid namespace applies to children only
 
     process, stdin_w, stdout_r, stderr_r = _start(command, env_entries, None, place)
-    isolation = Isolation.NONE if ns_of_pid is None else Isolation.NAMESPACES
-    return SandboxHandle(process, pgid, isolation, stdin_w, stdout_r, stderr_r)
+    return SandboxHandle(process, pgid, stdin_w, stdout_r, stderr_r)
 
 
 def signal_group(pgid: int, sig: int) -> bool:
@@ -447,21 +438,21 @@ def signal_group(pgid: int, sig: int) -> bool:
         return False
 
 
-def report_from_status(container_id: str, status: int, *, at_ms: int | None = None) -> ExitReport:
+def report_from_status(container_id: str, status: int) -> ExitReport:
     """Map a waitpid status to an ExitReport."""
     if os.WIFEXITED(status):
         return ExitReport(
             container_id=container_id,
             exit_code=os.WEXITSTATUS(status),
             term_signal=None,
-            finished_at=at_ms if at_ms is not None else now_ms(),
+            finished_at=now_ms(),
         )
     if os.WIFSIGNALED(status):
         return ExitReport(
             container_id=container_id,
             exit_code=None,
             term_signal=os.WTERMSIG(status),
-            finished_at=at_ms if at_ms is not None else now_ms(),
+            finished_at=now_ms(),
         )
     raise HydraError(f"unexpected wait status {status:#x} for {container_id}")
 
@@ -485,13 +476,13 @@ class ProcSample(NamedTuple):
     sampled_at: int  # epoch ms
 
 
-def sample_proc(pgid: int, root_pid: int | None = None) -> ProcSample:
-    """All live processes in the group plus descendants of the root pid.
+def sample_proc(pgid: int) -> ProcSample:
+    """All live processes in the group plus descendants of its leader, the
+    process whose pid is pgid.
 
     Zombies are excluded: they hold no memory and run no code. Empty sample
     if the group is gone.
     """
-    root = root_pid if root_pid is not None else pgid
     table: dict[int, StatRow] = {}
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -503,7 +494,7 @@ def sample_proc(pgid: int, root_pid: int | None = None) -> ProcSample:
     def reaches_root(pid: int) -> bool:
         seen = set()
         while pid not in seen and pid > 1:
-            if pid == root:
+            if pid == pgid:
                 return True
             seen.add(pid)
             row = table.get(pid)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from hydra.cli import _wait_pid_gone
 from hydra.protocol import resolve_layout
 
 from .conftest import hydra_env, kill_group_silently, kill_silently, run_cli, wait_for
@@ -112,6 +113,17 @@ def test_daemon_start_status_stop_cycle():
         assert after.returncode == 2
     finally:
         shutil.rmtree(root, ignore_errors=True)
+
+
+def test_daemon_stop_waits_for_the_exit_not_the_timeout():
+    proc = subprocess.Popen(["sleep", "0.2"])
+    started = time.monotonic()
+    _wait_pid_gone(proc.pid, timeout_s=10.0)
+    assert time.monotonic() - started < 5.0
+    assert proc.wait(timeout=1.0) == 0
+    started = time.monotonic()
+    _wait_pid_gone(proc.pid, timeout_s=10.0)  # reaped: already gone
+    assert time.monotonic() - started < 1.0
 
 
 def test_relative_state_dir_resolves_against_cwd():

@@ -63,9 +63,22 @@ def test_run_reply_and_ps_row(engine):
 
 
 def test_run_rejects_bad_requests(engine):
-    with pytest.raises(RequestFailed) as info:
-        engine.client.request("run", spec={"command": []})
-    assert info.value.code == "invalid_spec"
+    # A spec is checked, never coerced: none of these may leave a record.
+    for spec in (
+        {"command": []},
+        {"command": "true"},
+        {"command": [5]},
+        {"command": ["true"], "env": "A=1"},
+        {"command": ["true"], "env": [5]},
+        {"command": ["true"], "working_dir": 5},
+        {"command": ["true"], "restart_on_monitor_loss": "no"},
+        {"command": ["true"], "stop_grace_ms": 1.5},
+        {"command": ["true"], "stop_grace_ms": True},
+    ):
+        with pytest.raises(RequestFailed) as info:
+            engine.client.request("run", spec=spec)
+        assert info.value.code == "invalid_spec", spec
+    assert engine.ps() == []
 
     with pytest.raises(RequestFailed) as info:
         engine.client.request("run", spec={"command": ["sleep", "9"]}, id="NOT VALID")

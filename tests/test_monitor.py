@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -237,6 +239,16 @@ def test_malformed_exec_gets_a_reply(engine):
         assert info.value.code == "bad_command", fields
     with MonitorStream(sock, {"op": "exec", "command": ["true"]}) as stream:
         assert exit_code_from_notice(exit_payload(collect_until_exit(stream))) == 0
+
+
+def test_refused_request_leaves_no_socket_open(engine):
+    sock = engine.run(["sleep", "60"])["monitor_sock"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(RequestFailed):
+            MonitorStream(sock, {"op": "no_such_op"})
+        gc.collect()
+    assert not [w for w in caught if "unclosed" in str(w.message)]
 
 
 def test_wait_reports_exit_code(engine):

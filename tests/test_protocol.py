@@ -24,9 +24,7 @@ from hydra.protocol import (
     MessageFormatError,
     PidFileError,
     RecordFormatError,
-    TruncatedStream,
     decode_exit_line,
-    decode_frames,
     decode_message,
     decode_pid_line,
     dump_record,
@@ -158,6 +156,14 @@ class TestExitFile:
         assert len(list(layout.exits_dir.glob("*.exit"))) == writers * writes_each
 
 
+def decode_whole(stream: bytes) -> list[tuple[int, bytes]]:
+    """The frames of a complete stream, which leaves nothing pending."""
+    decoder = FrameDecoder()
+    frames = decoder.feed(stream)
+    assert decoder.pending == b""
+    return frames
+
+
 class TestFrames:
     def test_golden_stdout_frame(self):
         assert encode_frame(1, b"hi") == bytes.fromhex("01 00 00 00 02 68 69".replace(" ", ""))
@@ -171,25 +177,24 @@ class TestFrames:
         with pytest.raises(BadTag):
             encode_frame(4, b"")
         with pytest.raises(BadTag):
-            decode_frames(b"\x09\x00\x00\x00\x00")
+            FrameDecoder().feed(b"\x09\x00\x00\x00\x00")
 
     def test_rejects_oversized_payload(self):
         with pytest.raises(FrameTooLarge):
             encode_frame(1, b"x" * (MAX_FRAME_PAYLOAD + 1))
         # a length header over the cap is rejected without waiting for the body
         with pytest.raises(FrameTooLarge):
-            decode_frames(b"\x01" + (MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big"))
+            FrameDecoder().feed(b"\x01" + (MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big"))
 
     def test_max_payload_allowed(self):
         payload = b"z" * MAX_FRAME_PAYLOAD
-        assert decode_frames(encode_frame(2, payload)) == [(2, payload)]
+        assert decode_whole(encode_frame(2, payload)) == [(2, payload)]
 
     def test_truncated_stream_reports_tail(self):
         stream = encode_frame(1, b"done") + b"\x02\x00\x00\x00\x05abc"
-        with pytest.raises(TruncatedStream) as excinfo:
-            decode_frames(stream)
-        assert excinfo.value.frames == [(1, b"done")]
-        assert excinfo.value.tail == b"\x02\x00\x00\x00\x05abc"
+        decoder = FrameDecoder()
+        assert decoder.feed(stream) == [(1, b"done")]
+        assert decoder.pending == b"\x02\x00\x00\x00\x05abc"
 
     def test_random_sequences_round_trip(self):
         rng = random.Random(77)
@@ -199,13 +204,13 @@ class TestFrames:
                 for _ in range(rng.randint(0, 100))
             ]
             stream = b"".join(encode_frame(t, p) for t, p in frames)
-            assert decode_frames(stream) == frames
+            assert decode_whole(stream) == frames
 
     def test_thousand_single_frame_round_trips(self):
         rng = random.Random(78)
         for _ in range(1000):
             tag, payload = rng.randint(0, 3), rng.randbytes(rng.randint(0, 64))
-            assert decode_frames(encode_frame(tag, payload)) == [(tag, payload)]
+            assert decode_whole(encode_frame(tag, payload)) == [(tag, payload)]
 
     def test_decoder_survives_any_chunking(self):
         rng = random.Random(79)
@@ -305,6 +310,27 @@ class TestRecordFile:
         path = dump_record(layout, record)
         data = json.loads(path.read_text())
         data["container"] = None  # Running record must carry a container identity
+        path.write_text(json.dumps(data))
+        with pytest.raises(RecordFormatError):
+            load_record(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("command", "true"),
+            ("command", [5]),
+            ("env", "A=1"),
+            ("working_dir", 5),
+            ("restart_on_monitor_loss", "no"),
+            ("stop_grace_ms", 1.5),
+            ("stop_grace_ms", True),
+        ],
+    )
+    def test_rejects_mistyped_spec(self, tmp_path, field, value):
+        """A spec field of the wrong type makes the file corrupt, not coerced."""
+        path = dump_record(resolve_layout(tmp_path), make_random_record(random.Random(9)))
+        data = json.loads(path.read_text())
+        data["spec"][field] = value
         path.write_text(json.dumps(data))
         with pytest.raises(RecordFormatError):
             load_record(path)

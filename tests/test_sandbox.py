@@ -18,7 +18,6 @@ from hydra.sandbox import (
     SpawnError,
     is_alive,
     namespaces_supported,
-    proc_state,
     read_stat,
     report_from_status,
     sample_proc,
@@ -26,6 +25,7 @@ from hydra.sandbox import (
     spawn,
 )
 
+from .conftest import proc_state
 from .support import killpg_silently
 
 

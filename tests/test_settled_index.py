@@ -1,5 +1,6 @@
 """The settled index: restarts that read no settled record file, and an index
-that may be stale but is never believed over the record files on disk.
+that may be stale but is never believed over the record files on disk; and
+what a restart reads of /proc for each live record.
 
 The daemon is hosted on this test's loop, so a counting load_record shows
 which record files a start reads (settled ones are read again on demand, by
@@ -13,6 +14,7 @@ import os
 import pytest
 
 import hydra.daemon
+import hydra.sandbox
 from hydra.model import (
     ContainerRecord,
     ContainerSpec,
@@ -72,6 +74,32 @@ def test_restart_reads_only_live_records(state_root, loads, sleepers):
     assert restored == live
     assert status["containers"] == {"running": 2, "exited": 3000}
     assert waited["exit_code"] == codes[probe]
+
+
+def test_restore_reads_each_live_stat_at_most_three_times(state_root, monkeypatch, sleepers):
+    """Deciding an adopted record probes its monitor and its container once
+    each, and its watch checks the monitor once more after the pidfd opens."""
+    layout = resolve_layout(state_root)
+    live = {f"e{n:015x}": sleepers() for n in range(4)}
+    for container_id, (monitor, container) in live.items():
+        dump_record(layout, running_record(container_id, monitor, container))
+    reads: list[int] = []
+    read_stat = hydra.sandbox.read_stat
+
+    def counting(pid):
+        reads.append(pid)
+        return read_stat(pid)
+
+    monkeypatch.setattr(hydra.sandbox, "read_stat", counting)
+
+    async def body(daemon):
+        watched = {container_id: daemon._watches[container_id][0] for container_id in live}
+        return watched, list(reads)
+
+    watched, restored = serve_once(state_root, body)
+    for container_id, (monitor, container) in live.items():
+        assert watched[container_id] == monitor
+        assert restored.count(monitor.pid) + restored.count(container.pid) <= 3, container_id
 
 
 def test_exit_settled_at_runtime_is_indexed(state_root, loads):
